@@ -1,7 +1,10 @@
 """Command-line front end over the JSON file formats.
 
 Exit codes: 0 success, 1 negative domain verdict (not in cone, not implied,
-infeasible/inconclusive, zero projection), 2 usage or file-format errors.
+infeasible/inconclusive, zero projection), 2 usage or file-format errors,
+3 resource limit or internal failure (any RuntimeError: an enumeration or
+pivot budget ran out, or a self-check failed); codes 2 and 3 print one
+`error: ...` line on stderr.
 """
 
 from __future__ import annotations
@@ -222,8 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="covercone",
         description="Exact computation with the uniform-cover cone of log projection volumes.",
     )
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized subcommands (reserved; none sample today)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("covers", help="enumerate uniform covers of a ground set")
@@ -286,6 +287,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -62,12 +62,6 @@ class LinearInequality:
         right = tuple((m, -c) for m, c in sorted(net.items()) if c < 0)
         return cls(n, left, right)
 
-    def lhs_map(self) -> dict[int, Fraction]:
-        return dict(self.lhs)
-
-    def rhs_map(self) -> dict[int, Fraction]:
-        return dict(self.rhs)
-
     def coefficient_map(self) -> dict[int, Fraction]:
         """lhs minus rhs; the inequality reads coeffs . x >= 0."""
         out = dict(self.lhs)

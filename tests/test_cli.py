@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import covercone
 from covercone.boxgeom import read_body, write_body, BoxUnionBody, Box
 from covercone.cli import main
 from covercone.core import read_vector, write_vector, ProjectionVector
@@ -234,3 +239,16 @@ class TestUsageErrors:
         code, _, err = run(capsys, "member", "--vector", path)
         assert code == 2
         assert "error" in err
+
+    def test_resource_limit_is_exit_three(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(covercone.__file__).parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-m", "covercone", "covers",
+             "--ground", "1,2,3,4,5,6,7,8,9", "--kmax", "8"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr

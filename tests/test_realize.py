@@ -4,14 +4,18 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import sample_bt3_vector
+from covercone import realize
 from covercone.boxgeom import axiswise_disjoint, projection_volume
 from covercone.cone import build_bt_system
 from covercone.core import (
     ProjectionVector,
     canonical_subset_order,
+    elements,
     exp_fraction,
     log_fraction,
+    subsets_of,
 )
+from covercone.covers import irreducible_covers
 from covercone.realize import (
     BoxSystemInfeasible,
     InconclusiveError,
@@ -22,9 +26,78 @@ from covercone.realize import (
     realize_vector,
     solve_box_system,
 )
+from covercone.simplex import GE, INFEASIBLE, LE, OPTIMAL, LinearProgramBuilder
 
 ONES2 = ProjectionVector.from_entries(2, {m: F(1) for m in range(1, 4)})
 TOL = F(1, 10**6)
+
+
+#: (ground, targets) of the hand-built step systems
+HAND_CASES = {
+    "singleton": (0b1, {0b1: F(7, 3)}),
+    "symmetric_pair": (0b11, {0b01: exp_fraction(F(2)) / 2, 0b10: exp_fraction(F(2)) / 2,
+                              0b11: exp_fraction(F(2))}),
+    "infeasible_pair": (0b11, {0b01: exp_fraction(F(1)) / 2, 0b10: exp_fraction(F(1)) / 2,
+                               0b11: exp_fraction(F(1))}),
+    # tight cap on one side forces the water-filling split
+    "asymmetric_caps": (0b11, {0b01: F(2), 0b10: exp_fraction(F(3)), 0b11: exp_fraction(F(3))}),
+    "triple_ground": (0b111, {**{m: exp_fraction(F(4)) / 2 for m in range(1, 7)},
+                              0b111: exp_fraction(F(4))}),
+}
+
+
+def full_step_system(ground, y):
+    """Sum-minimizing LP over all 2^m - 1 log coordinates of the step system:
+      (i)   z_A <= y_A                       for all nonempty A subset ground
+      (ii)  z_A <= prod of singleton z's     for |A| >= 2
+      (iii) y_ground^k <= prod over parts z  for each irreducible cover
+    Returns (status, log z, minimum).  Variables are shifted by `big` so they
+    are nonnegative; the shift never binds."""
+    members = sorted(subsets_of(ground), key=lambda m: (m.bit_count(), m))
+    singles = [1 << (e - 1) for e in elements(ground)]
+    eta = {a: log_fraction(F(y[a])) for a in members}
+    big = 2 * max(abs(e) for e in eta.values()) + 4
+    lp = LinearProgramBuilder()
+    for a in members:
+        lp.add({a: 1}, LE, eta[a] + big)
+    for a in members:
+        if a.bit_count() >= 2:
+            coeffs = {a: F(1)}
+            for s in singles:
+                if a & s:
+                    coeffs[s] = F(-1)
+            lp.add(coeffs, LE, (1 - a.bit_count()) * big)
+    for cover in irreducible_covers(ground):
+        coeffs = {}
+        for part in cover.parts:
+            coeffs[part] = coeffs.get(part, 0) + 1
+        lp.add(coeffs, GE, cover.k * eta[ground] + len(cover.parts) * big)
+    lp.minimize({a: 1 for a in members})
+    status, values, objective = lp.solve()
+    if status != OPTIMAL:
+        return status, None, None
+    return status, {a: values[a] - big for a in members}, objective - len(members) * big
+
+
+def assert_matches_full_system(ground, y, system):
+    """The minimality theorem on one step: the full system is feasible exactly
+    when solve_box_system returned `system` (None when it raised), its
+    minimum is 2^(m-1) log y_ground at a product-form point, and the returned
+    z meets every irreducible cover with equality."""
+    status, zeta, minimum = full_step_system(ground, y)
+    if system is None:
+        assert status == INFEASIBLE
+        return
+    assert status == OPTIMAL
+    m = ground.bit_count()
+    assert minimum == (1 << (m - 1)) * log_fraction(F(y[ground]))
+    for a in zeta:
+        assert zeta[a] == sum(zeta[1 << (e - 1)] for e in elements(a))
+    for cover in irreducible_covers(ground):
+        prod = F(1)
+        for part in cover.parts:
+            prod *= system.z[part]
+        assert prod == y[ground] ** cover.k
 
 
 class TestInteriorShift:
@@ -59,7 +132,7 @@ class TestInteriorShift:
 class TestSolveBoxSystem:
     def test_symmetric_pair(self):
         e2 = exp_fraction(F(2))
-        system = solve_box_system(0b11, {0b01: e2 / 2, 0b10: e2 / 2, 0b11: e2})
+        system = solve_box_system(*HAND_CASES["symmetric_pair"])
         assert system.z[0b11] == e2
         assert system.z[0b01] * system.z[0b10] == e2
         assert system.z[0b01] <= e2 / 2 and system.z[0b10] <= e2 / 2
@@ -69,28 +142,24 @@ class TestSolveBoxSystem:
 
     def test_singleton_ground(self):
         c = F(7, 3)
-        system = solve_box_system(0b1, {0b1: c})
+        system = solve_box_system(*HAND_CASES["singleton"])
         assert system.z == {0b1: c}
         assert system.sides == {1: c}
 
     def test_infeasible_pair(self):
-        e = exp_fraction(F(1))
         with pytest.raises(BoxSystemInfeasible):
-            solve_box_system(0b11, {0b01: e / 2, 0b10: e / 2, 0b11: e})
+            solve_box_system(*HAND_CASES["infeasible_pair"])
 
     def test_asymmetric_caps(self):
         e3 = exp_fraction(F(3))
-        # tight cap on one side forces the water-filling split
-        y = {0b01: F(2), 0b10: e3, 0b11: e3}
-        system = solve_box_system(0b11, y)
+        system = solve_box_system(*HAND_CASES["asymmetric_caps"])
         assert system.z[0b01] * system.z[0b10] == e3
         assert system.z[0b01] <= 2
 
     def test_triple_ground(self):
         e4 = exp_fraction(F(4))
-        y = {m: e4 / 2 for m in range(1, 7)}
-        y[0b111] = e4
-        system = solve_box_system(0b111, y)
+        ground, y = HAND_CASES["triple_ground"]
+        system = solve_box_system(ground, y)
         assert system.z[0b111] == e4
         prod = system.z[0b001] * system.z[0b010] * system.z[0b100]
         assert prod == e4
@@ -100,6 +169,53 @@ class TestSolveBoxSystem:
     def test_missing_target(self):
         with pytest.raises(ValueError):
             solve_box_system(0b11, {0b11: F(1)})
+
+    @pytest.mark.parametrize("case", sorted(HAND_CASES))
+    def test_hand_cases_match_full_system(self, case):
+        ground, y = HAND_CASES[case]
+        try:
+            system = solve_box_system(ground, y)
+        except BoxSystemInfeasible:
+            system = None
+        assert_matches_full_system(ground, y, system)
+
+
+class TestMinimalityOracle:
+    def test_sampled_steps(self, monkeypatch):
+        """Every step of sampled n = 3 realizations, at each lambda find_lambda
+        tries (the infeasible ones below the answer and the feasible answer),
+        agrees with the full step system and costs one LP when |ground| >= 2."""
+        steps = []
+        lp_solves = [0]
+        real_solve = LinearProgramBuilder.solve
+        real_step = realize.solve_box_system
+
+        def counting_solve(builder):
+            lp_solves[0] += 1
+            return real_solve(builder)
+
+        def spy(ground, y, digits):
+            before = lp_solves[0]
+            try:
+                system = real_step(ground, y, digits)
+            except BoxSystemInfeasible:
+                steps.append((ground, dict(y), None, lp_solves[0] - before))
+                raise
+            steps.append((ground, dict(y), system, lp_solves[0] - before))
+            return system
+
+        monkeypatch.setattr(LinearProgramBuilder, "solve", counting_solve)
+        monkeypatch.setattr(realize, "solve_box_system", spy)
+        rng = random.Random(41)
+        for _ in range(4):
+            v = sample_bt3_vector(rng).shift(F(1, 4))
+            find_lambda(v, F(1, 4), 64)
+        monkeypatch.undo()
+        assert any(system is None for _, _, system, _ in steps)
+        assert sum(system is not None for _, _, system, _ in steps) >= 4 * 7
+        for ground, y, system, lp_count in steps:
+            assert lp_count == (1 if ground.bit_count() >= 2 else 0)
+            assert_matches_full_system(ground, y, system)
 
 
 class TestRealizeVector:
