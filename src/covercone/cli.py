@@ -204,11 +204,7 @@ def cmd_witness(args) -> int:
 def cmd_shearer(args) -> int:
     family = witness.read_family(_read_text(args.family))
     cover = covers.cover_from_json(_read_text(args.cover))
-    try:
-        report = witness.shearer_check(family, cover.parts, args.k)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = witness.shearer_check(family, cover.parts, args.k)
     _print({
         "family_size": len(family.members),
         "k": args.k,
@@ -281,10 +277,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # includes FormatError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

@@ -5,6 +5,12 @@ in which every element of Y lies in exactly k parts.  A cover is irreducible
 when no proper nonempty sub-multiset has uniform coverage (such a sub-cover
 and its complement would decompose the cover into two uniform covers whose
 multiplicities add up to k).
+
+One search serves all three tasks: it picks sub-multisets of a pool of
+(part, most copies) pairs with every element covered exactly k times.
+Enumeration searches the pool of all subsets of Y, decomposition the
+cover's own parts, and irreducibility the pool of all subsets while
+avoiding the irreducible covers of multiplicity at most k//2.
 """
 
 from __future__ import annotations
@@ -83,66 +89,116 @@ def _coverage(ground: int, parts) -> list[int]:
     return counts
 
 
-def enumerate_covers(ground: int, k_max: int, part_limit: int = COVER_PART_LIMIT) -> list[UniformCover]:
-    """All k-uniform covers of `ground` with k <= k_max, duplicate-free.
-
-    Depth-first search over sorted part multisets with per-element coverage
-    pruning; a k-uniform cover has at most k*|ground| parts, so termination
-    is automatic.
-    """
+def _check_part_limit(ground: int, k_max: int) -> None:
     if ground == 0:
         raise ValueError("ground set must be nonempty")
     if k_max < 1:
         raise ValueError("k_max must be positive")
     size = ground.bit_count()
-    if k_max * size > part_limit:
+    if k_max * size > COVER_PART_LIMIT:
         raise ResourceLimitError(
-            f"k_max={k_max} on a {size}-element ground exceeds the part limit {part_limit}"
+            f"k_max={k_max} on a {size}-element ground exceeds the part limit {COVER_PART_LIMIT}"
         )
-    out: list[UniformCover] = []
-    for k in range(1, k_max + 1):
-        out.extend(_covers_exact(ground, k))
+
+
+def _search(ground: int, pool, k: int, avoid=(), limit: Optional[int] = None) -> list[tuple[int, ...]]:
+    """Sub-multisets of `pool` that cover every element of `ground` exactly k times.
+
+    `pool` lists (part, most copies) pairs in canonical order; each result
+    lists its parts in that order, and results come depth-first with more
+    copies of a part tried first.  No result contains a part multiset from
+    `avoid` as a sub-multiset, and the search stops after `limit` results.
+
+    The coverage still needed per element is packed into one integer, so
+    whether a (pool position, coverage needed) state can be completed at all
+    is decided once and remembered; the search only enters completable states.
+    """
+    width = k.bit_length()
+    field = (1 << width) - 1
+    positions = [e for e in range(MAX_DIMENSION) if ground >> e & 1]
+    shifts = [[width * j for j, e in enumerate(positions) if part >> e & 1] for part, _ in pool]
+    spread = [sum(1 << s for s in sh) for sh in shifts]
+    parts, copies = zip(*pool)
+    end = len(parts)
+    # copies taken per pool position are packed too, with a guard bit on top
+    # of each slot, so one subtraction tests multiset containment; each
+    # avoided multiset is tested once its last pool part is reached
+    slot = k.bit_length() + 1
+    guard = sum(1 << (slot * i + slot - 1) for i in range(end)) if avoid else 0
+    index = {part: i for i, part in enumerate(parts)}
+    blockers: list[list[tuple[int, int]]] = [[] for _ in parts]
+    for avoided in avoid:
+        counts = Counter(avoided)
+        if all(part in index for part in counts):
+            *rest, (last, most) = sorted((index[part], m) for part, m in counts.items())
+            blockers[last].append((most, sum(m << (slot * j) for j, m in rest)))
+    completes: dict[int, bool] = {}
+    found: list[tuple[int, ...]] = []
+    chosen: list[int] = []
+
+    def most_copies(i: int, need: int) -> int:
+        cap = copies[i]
+        for s in shifts[i]:
+            have = need >> s & field
+            if have < cap:
+                cap = have
+        return cap
+
+    def completable(i: int, need: int) -> bool:
+        if need == 0:
+            return True
+        if i == end:
+            return False
+        key = need * end + i
+        ok = completes.get(key)
+        if ok is None:
+            ok = False
+            for c in range(most_copies(i, need), -1, -1):
+                if completable(i + 1, need - c * spread[i]):
+                    ok = True
+                    break
+            completes[key] = ok
+        return ok
+
+    def dfs(i: int, need: int, taken: int) -> bool:
+        """Extend `chosen` from pool position i; True once `limit` is reached."""
+        if need == 0:
+            found.append(tuple(chosen))
+            return len(found) == limit
+        cap = most_copies(i, need)
+        for most, rest in blockers[i]:
+            if most <= cap and (taken | guard) - rest & guard == guard:
+                cap = most - 1
+        chosen.extend([parts[i]] * cap)
+        for c in range(cap, -1, -1):
+            nxt = need - c * spread[i]
+            if completable(i + 1, nxt) and dfs(i + 1, nxt, taken + (c << slot * i)):
+                return True
+            if c:
+                chosen.pop()
+        return False
+
+    dfs(0, k * sum(1 << (width * j) for j in range(len(positions))), 0)
+    return found
+
+
+def _all_parts(ground: int, k: int) -> list[tuple[int, int]]:
+    return [(part, k) for part in sorted(subsets_of(ground), key=_part_key)]
+
+
+def enumerate_covers(ground: int, k_max: int) -> list[UniformCover]:
+    """All k-uniform covers of `ground` with k <= k_max, duplicate-free.
+
+    A k-uniform cover has at most k*|ground| parts, so every search ends.
+    """
+    _check_part_limit(ground, k_max)
+    out = [
+        UniformCover(ground, k, parts)
+        for k in range(1, k_max + 1)
+        for parts in _search(ground, _all_parts(ground, k), k)
+    ]
     out.sort(key=UniformCover.sort_key)
     return out
-
-
-def _covers_exact(ground: int, k: int) -> list[UniformCover]:
-    subs = sorted(subsets_of(ground), key=_part_key)
-    union_from = [0] * (len(subs) + 1)
-    for i in range(len(subs) - 1, -1, -1):
-        union_from[i] = union_from[i + 1] | subs[i]
-    bits = [1 << e for e in range(MAX_DIMENSION) if ground >> e & 1]
-    found: list[UniformCover] = []
-    cover_count: dict[int, int] = {b: 0 for b in bits}
-    parts: list[int] = []
-
-    def dfs(idx: int) -> None:
-        need = 0
-        for b in bits:
-            if cover_count[b] < k:
-                need |= b
-        if need == 0:
-            found.append(UniformCover(ground, k, tuple(parts)))
-            return
-        if idx == len(subs) or (need & union_from[idx]) != need:
-            return
-        s = subs[idx]
-        cap = min(k - cover_count[b] for b in bits if s & b)
-        for c in range(cap + 1):
-            if c:
-                parts.append(s)
-                for b in bits:
-                    if s & b:
-                        cover_count[b] += 1
-            dfs(idx + 1)
-        if cap:
-            del parts[-cap:]
-            for b in bits:
-                if s & b:
-                    cover_count[b] -= cap
-
-    dfs(0)
-    return found
 
 
 def decompose(cover: UniformCover) -> Optional[tuple[UniformCover, UniformCover]]:
@@ -150,68 +206,48 @@ def decompose(cover: UniformCover) -> Optional[tuple[UniformCover, UniformCover]
 
     Searches proper nonempty sub-multisets for uniform coverage k' with
     1 <= k' <= k//2 (the complement is then (k-k')-uniform).  Deterministic:
-    distinct parts in canonical order, higher multiplicities tried first.
+    the first hit at the smallest k', with distinct parts in canonical order
+    and higher multiplicities tried first.
     """
-    sub = _uniform_subcover(cover)
-    if sub is None:
-        return None
-    remaining = Counter(cover.parts)
-    remaining.subtract(Counter(sub))
-    complement = tuple(remaining.elements())
-    return (
-        UniformCover.from_parts(cover.ground, sub),
-        UniformCover.from_parts(cover.ground, complement),
-    )
-
-
-def _uniform_subcover(cover: UniformCover) -> Optional[tuple[int, ...]]:
-    distinct = sorted(Counter(cover.parts).items(), key=lambda it: _part_key(it[0]))
-    total = len(cover.parts)
-    bits = [1 << e for e in range(MAX_DIMENSION) if cover.ground >> e & 1]
+    pool = sorted(Counter(cover.parts).items(), key=lambda it: _part_key(it[0]))
     for kp in range(1, cover.k // 2 + 1):
-        cover_count = {b: 0 for b in bits}
-        chosen: list[int] = []
-
-        def dfs(i: int) -> bool:
-            if i == len(distinct):
-                return (
-                    all(cover_count[b] == kp for b in bits)
-                    and 0 < len(chosen) < total
-                )
-            part, mult = distinct[i]
-            cap = min(mult, min(kp - cover_count[b] for b in bits if part & b))
-            for c in range(cap, -1, -1):
-                for b in bits:
-                    if part & b:
-                        cover_count[b] += c
-                chosen.extend([part] * c)
-                if dfs(i + 1):
-                    return True
-                del chosen[len(chosen) - c:]
-                for b in bits:
-                    if part & b:
-                        cover_count[b] -= c
-            return False
-
-        if dfs(0):
-            return tuple(chosen)
+        hit = _search(cover.ground, pool, kp, limit=1)
+        if hit:
+            remaining = Counter(cover.parts)
+            remaining.subtract(hit[0])
+            return (
+                UniformCover.from_parts(cover.ground, hit[0]),
+                UniformCover.from_parts(cover.ground, tuple(remaining.elements())),
+            )
     return None
 
 
 @lru_cache(maxsize=None)
-def _irreducible_covers_cached(ground: int, k_max: int) -> tuple[UniformCover, ...]:
-    return tuple(c for c in enumerate_covers(ground, k_max) if decompose(c) is None)
+def _irreducible_level(ground: int, k: int) -> tuple[UniformCover, ...]:
+    avoid = [c.parts for j in range(1, k // 2 + 1) for c in _irreducible_level(ground, j)]
+    found = [UniformCover(ground, k, parts) for parts in _search(ground, _all_parts(ground, k), k, avoid)]
+    found.sort(key=UniformCover.sort_key)
+    return tuple(found)
 
 
 def irreducible_covers(ground: int, k_max: Optional[int] = None) -> list[UniformCover]:
-    """The covers in enumerate_covers output admitting no decomposition.
+    """The covers of enumerate_covers(ground, k_max) that decompose cannot split.
+
+    Built level by level without enumerating reducible covers: a k-uniform
+    cover is reducible iff it contains an irreducible cover of multiplicity
+    at most k//2.  (If C splits into uniform S and C-S, the one of
+    multiplicity <= k/2 splits on down into irreducible covers, each
+    contained in C; conversely such a cover is a proper uniform
+    sub-multiset of C.)  So level k is the search of all k-uniform covers
+    avoiding levels 1..k//2.
 
     k_max defaults to |ground| (no new irreducible covers appear above that
     for the ground sizes this artifact targets; validated by tests).
     """
     if k_max is None:
         k_max = max(ground.bit_count(), 1)
-    return list(_irreducible_covers_cached(ground, k_max))
+    _check_part_limit(ground, k_max)
+    return [c for k in range(1, k_max + 1) for c in _irreducible_level(ground, k)]
 
 
 # ---------------------------------------------------------------------------

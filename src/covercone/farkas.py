@@ -30,7 +30,7 @@ from .core import (
     parse_rational,
     parse_subset,
 )
-from .realize import DEFAULT_LAMBDA_CAP, RealizationResult, find_lambda
+from .realize import RealizationResult, find_lambda
 from .simplex import INFEASIBLE, OPTIMAL, solve_equality_lp
 
 
@@ -167,14 +167,13 @@ def violating_body(
     system: ConeSystem,
     ineq: LinearInequality,
     witness: ProjectionVector,
-    lambda_cap=DEFAULT_LAMBDA_CAP,
-    shift_eps: Fraction | None = None,
 ) -> ViolationReport:
     """Turn a separating witness into an actual counterexample body.
 
-    The witness is shifted into the strict interior (keeping the candidate
-    violated), realized at the first doubling lambda that works, and the
-    violation re-verified on exact projection volumes.
+    The witness is shifted into the strict interior of `system`'s cone by an
+    eps small enough to keep the candidate violated, realized against
+    `system` at the first doubling lambda that works, and the violation
+    re-verified on exact projection volumes.
     """
     report = membership(system, witness)
     if not report.inside:
@@ -182,17 +181,14 @@ def violating_body(
     value = ineq.evaluate(witness)
     if value >= 0:
         raise ValueError("witness does not violate the inequality")
+    # the shift moves the candidate's value by shift_eps * coeff_sum, which
+    # leaves at least half of the violation
     coeff_sum = sum(ineq.coefficient_map().values(), Fraction(0))
-    if shift_eps is None:
-        if coeff_sum > 0:
-            shift_eps = min(Fraction(1), -value / (2 * coeff_sum))
-        else:
-            shift_eps = Fraction(1)
-    shifted = witness.shift(shift_eps)
-    if ineq.evaluate(shifted) >= 0:
-        raise ValueError(f"shift eps {shift_eps} destroys the violation")
-
-    realization = find_lambda(shifted, shift_eps, lambda_cap)
+    if coeff_sum > 0:
+        shift_eps = min(Fraction(1), -value / (2 * coeff_sum))
+    else:
+        shift_eps = Fraction(1)
+    realization = find_lambda(witness.shift(shift_eps), shift_eps, system=system)
 
     scale = lcm(*(c.denominator for _, c in ineq.lhs + ineq.rhs)) if (ineq.lhs or ineq.rhs) else 1
     lhs_product = Fraction(1)

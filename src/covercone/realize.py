@@ -75,10 +75,6 @@ class InconclusiveError(Exception):
         )
 
 
-class MinimalityViolation(RuntimeError):
-    """A step solution failed a self-check it must pass (internal error)."""
-
-
 @dataclass(frozen=True)
 class BoxSystem:
     """One step's targets y and minimal solution z, both in volume space.
@@ -203,29 +199,31 @@ _SLACK = Fraction(1, 10**15)
 
 def _check_solution(ground, y, z) -> None:
     if z[ground] != y[ground]:
-        raise MinimalityViolation("ground target not consumed exactly")
+        raise RuntimeError("ground target not consumed exactly")
     for a, vol in z.items():
         if vol <= 0:
-            raise MinimalityViolation(f"nonpositive volume on {{{format_subset(a)}}}")
+            raise RuntimeError(f"nonpositive volume on {{{format_subset(a)}}}")
         if a != ground and vol > y[a] * (1 + _SLACK):
-            raise MinimalityViolation(f"solution exceeds target on {{{format_subset(a)}}}")
+            raise RuntimeError(f"solution exceeds target on {{{format_subset(a)}}}")
 
 
 def realize_vector(
     v: ProjectionVector,
     lam,
-    tolerance: Fraction = DEFAULT_TOLERANCE,
+    system: Optional[ConeSystem] = None,
     digits: int = LOG_DIGITS,
 ) -> RealizationResult:
-    """Construct a body whose log projection vector is lam*v within tolerance.
+    """Construct a body whose log projection vector is lam*v within DEFAULT_TOLERANCE.
 
-    Requires strict inequality on every nontrivial generator; raises
-    BoxSystemInfeasible when lam is too small for some step.
+    Requires strict inequality on every nontrivial generator of `system`
+    (default: build_bt_system(v.n)); raises BoxSystemInfeasible when lam is
+    too small for some step.
     """
     lam = Fraction(lam)
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    system = build_bt_system(v.n)
+    if system is None:
+        system = build_bt_system(v.n)
     for g in system.generators:
         if g.margin(v) <= 0:
             raise StrictnessError(f"not strict on {g.format_text()}")
@@ -258,26 +256,27 @@ def realize_vector(
         vol = projection_volume(body, a)
         report[a] = abs(log_fraction(vol, digits) - lam * v[a])
     max_gap = max(report.values())
-    if max_gap > tolerance:
+    if max_gap > DEFAULT_TOLERANCE:
         raise RuntimeError(f"realization drifted beyond tolerance: max gap {float(max_gap):.3g}")
-    return RealizationResult(lam, v, body, tuple(steps), report, max_gap, tolerance)
+    return RealizationResult(lam, v, body, tuple(steps), report, max_gap, DEFAULT_TOLERANCE)
 
 
 def find_lambda(
     v: ProjectionVector,
     eps: Fraction,
     lambda_cap=DEFAULT_LAMBDA_CAP,
-    tolerance: Fraction = DEFAULT_TOLERANCE,
+    system: Optional[ConeSystem] = None,
     digits: int = LOG_DIGITS,
 ) -> RealizationResult:
     """Interior-shift when strictness fails, then double lambda from 1.
 
     Returns the first success; raises InconclusiveError at the cap (never a
     claim of non-realizability) and NotInConeError for vectors outside the
-    cone.
+    cone of `system` (default: build_bt_system(v.n)).
     """
     lambda_cap = Fraction(lambda_cap)
-    system = build_bt_system(v.n)
+    if system is None:
+        system = build_bt_system(v.n)
     report = membership(system, v)
     if not report.inside:
         raise NotInConeError(
@@ -289,7 +288,7 @@ def find_lambda(
     last: Optional[BoxSystemInfeasible] = None
     while lam <= lambda_cap:
         try:
-            return realize_vector(w, lam, tolerance=tolerance, digits=digits)
+            return realize_vector(w, lam, system, digits)
         except BoxSystemInfeasible as exc:
             last = exc
             lam *= 2

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -38,6 +39,14 @@ class TestBuildSystem:
     def test_resource_guard(self):
         with pytest.raises(ValueError):
             build_bt_system(7)
+
+    @pytest.mark.parametrize("args,digest", [
+        ((4,), "704cb10fa8d51784ea174fa536e547a45bde1cc1023d3da1a077cce29b32e3c8"),
+        ((5, 3), "24883aa69cc04d2afc50d894ce87104e163a8f731f1433b1e7890747a17d97ff"),
+    ], ids=["n4", "n5-kmax3"])
+    def test_generator_list_pinned(self, args, digest):
+        text = build_bt_system(*args).h_representation()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_h_representation(self):
         lines = build_bt_system(2).h_representation().splitlines()

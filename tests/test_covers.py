@@ -132,13 +132,23 @@ class TestIrreducible:
         for c in irreducible_covers(0b111, 4):
             assert decompose(c) is None
 
+    @pytest.mark.parametrize("size,k_max", [(3, 6), (4, 4), (5, 2)])
+    def test_matches_enumerate_then_decompose(self, size, k_max):
+        # the level-by-level search against the enumerate-then-filter pipeline
+        ground = (1 << size) - 1
+        expected = [c for c in enumerate_covers(ground, k_max) if decompose(c) is None]
+        assert irreducible_covers(ground, k_max) == expected
+
+    def test_resource_guard(self):
+        with pytest.raises(ResourceLimitError):
+            irreducible_covers((1 << 16) - 1, 16)
+
     def test_ground_size_four_counts(self):
         by_k = {}
         for c in irreducible_covers(0b1111, 4):
             by_k[c.k] = by_k.get(c.k, 0) + 1
         assert by_k == {1: 15, 2: 22, 3: 5}
 
-    @pytest.mark.slow
     def test_no_new_irreducibles_size_four(self):
         base = {c.parts for c in irreducible_covers(0b1111, 4)}
         extended = {c.parts for c in irreducible_covers(0b1111, 8)}

@@ -166,6 +166,19 @@ class TestViolatingBody:
         vol = lambda m: projection_volume(report.body, m)
         assert vol(0b11) < vol(0b01) * vol(0b10)
 
+    def test_realizes_against_the_given_system(self, monkeypatch):
+        from covercone import realize
+
+        system = build_bt_system(3)
+        ineq = LinearInequality.from_maps(3, {0b111: F(1)}, {0b011: F(1), 0b100: F(1)})
+        witness = check_implication(system, ineq)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"build_bt_system{args} called")
+
+        monkeypatch.setattr(realize, "build_bt_system", refuse)
+        assert violating_body(system, ineq, witness.vector).violated
+
     def test_rejects_non_violating_witness(self):
         from covercone.core import ProjectionVector
 
