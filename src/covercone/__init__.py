@@ -56,9 +56,7 @@ from .realize import (
     InconclusiveError,
     NotInConeError,
     RealizationResult,
-    StrictnessError,
     find_lambda,
-    interior_shift,
     realize_vector,
     solve_box_system,
 )

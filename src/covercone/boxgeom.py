@@ -15,7 +15,6 @@ from typing import Optional, Sequence
 
 from .core import (
     FormatError,
-    LOG_DIGITS,
     ProjectionVector,
     _loads_strict,
     canonical_subset_order,
@@ -43,11 +42,6 @@ class Box:
     @property
     def n(self) -> int:
         return len(self.intervals)
-
-    def side(self, axis: int) -> Fraction:
-        """Extent on a 1-based axis."""
-        lo, hi = self.intervals[axis - 1]
-        return hi - lo
 
     def translate(self, shift: Fraction) -> "Box":
         return Box(tuple((lo + shift, hi + shift) for lo, hi in self.intervals))
@@ -112,14 +106,13 @@ def projection_volume(body: BoxUnionBody, mask: int) -> Fraction:
 
 @dataclass(frozen=True)
 class ProjectionProfile:
-    """Exact volumes plus their logs (rationalized at `digits` precision).
+    """Exact volumes plus their logs (rationalized at LOG_DIGITS precision).
 
     logs[A] is None exactly where volumes[A] == 0; such a vector is not
     constructible as-is (a positive-volume body has every projection positive).
     """
 
     n: int
-    digits: int
     volumes: dict[int, Fraction]
     logs: dict[int, Optional[Fraction]]
 
@@ -137,12 +130,10 @@ class ProjectionProfile:
         return ProjectionVector(self.n, {m: v for m, v in self.logs.items()})
 
 
-def log_projection_vector(body: BoxUnionBody, digits: int = LOG_DIGITS) -> ProjectionProfile:
+def log_projection_vector(body: BoxUnionBody) -> ProjectionProfile:
     volumes = {m: projection_volume(body, m) for m in canonical_subset_order(body.n)}
-    logs = {
-        m: (log_fraction(v, digits) if v > 0 else None) for m, v in volumes.items()
-    }
-    return ProjectionProfile(body.n, digits, volumes, logs)
+    logs = {m: (log_fraction(v) if v > 0 else None) for m, v in volumes.items()}
+    return ProjectionProfile(body.n, volumes, logs)
 
 
 def thicken(body: BoxUnionBody, eps: Fraction) -> BoxUnionBody:

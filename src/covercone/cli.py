@@ -143,7 +143,7 @@ def cmd_realize(args) -> int:
                 "ground": format_subset(step.ground),
                 "log_z": {
                     format_subset(a): repr(float(log_fraction(vol)))
-                    for a, vol in sorted(step.system.z.items())
+                    for a, vol in sorted(step.z.items())
                 },
             }
             for step in result.steps
@@ -244,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("realize", help="construct a body for a scaled interior vector")
     p.add_argument("--vector", required=True)
     p.add_argument("--epsilon", default="1/4")
-    p.add_argument("--lambda-cap", default="1024")
+    p.add_argument("--lambda-cap", default=str(realize.DEFAULT_LAMBDA_CAP))
     p.add_argument("--out", required=True)
     p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_realize)

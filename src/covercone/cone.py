@@ -17,8 +17,9 @@ from typing import Optional
 from .core import ProjectionVector, canonical_subset_order, format_subset
 from .covers import UniformCover, cover_to_obj, irreducible_covers
 
-#: enumeration guard: desk scale is n <= 6
-MAX_CONE_DIMENSION = 6
+#: the default k <= |Y| system is proved complete up to here; n = 6 does not
+#: end in minutes and no complete generator list for it is known
+MAX_CONE_DIMENSION = 5
 
 
 class CoverInequality:

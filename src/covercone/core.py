@@ -53,21 +53,21 @@ def format_rational(q: Fraction) -> str:
 # ---------------------------------------------------------------------------
 # high-precision log/exp on exact rationals
 
-def log_fraction(q: Fraction, digits: int = LOG_DIGITS) -> Fraction:
-    """Natural log of a positive rational, rounded to `digits` significant
+def log_fraction(q: Fraction) -> Fraction:
+    """Natural log of a positive rational, rounded to LOG_DIGITS significant
     digits and returned as the exact rational value of that decimal."""
     if q <= 0:
         raise ValueError(f"log of non-positive value {q}")
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = LOG_DIGITS
         d = (Decimal(q.numerator) / Decimal(q.denominator)).ln()
     return Fraction(d)
 
 
-def exp_fraction(q: Fraction, digits: int = LOG_DIGITS) -> Fraction:
-    """exp(q) rounded to `digits` significant digits, as an exact rational."""
+def exp_fraction(q: Fraction) -> Fraction:
+    """exp(q) rounded to LOG_DIGITS significant digits, as an exact rational."""
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = LOG_DIGITS
         d = (Decimal(q.numerator) / Decimal(q.denominator)).exp()
     return Fraction(d)
 
@@ -119,14 +119,12 @@ def parse_subset(text: str, n: int, allow_empty: bool = False) -> int:
     return mask
 
 
-def subsets_of(ground: int, include_empty: bool = False) -> Iterator[int]:
-    """All submasks of `ground` (nonempty unless include_empty)."""
+def subsets_of(ground: int) -> Iterator[int]:
+    """All nonempty submasks of `ground`."""
     sub = ground
     while sub:
         yield sub
         sub = (sub - 1) & ground
-    if include_empty:
-        yield 0
 
 
 def canonical_subset_order(n: int) -> list[int]:

@@ -1,4 +1,4 @@
-"""Realize strictly interior cone vectors as box-union bodies, after scaling.
+"""Realize cone vectors as box-union bodies, after a shift and a scaling.
 
 Given v satisfying every nontrivial irreducible cover inequality strictly,
 some multiple lambda*v is the log projection vector of a finite union of
@@ -7,6 +7,11 @@ smallest; at each step it solves one linear program over the |S| sidelengths
 of a box living in Span(S), subtracts that box's projection volumes from the
 running targets, and finally places all boxes disjointly.  lambda is found by
 doubling; failure at the cap is inconclusive, never a non-realizability claim.
+
+find_lambda is the only function here that reads the cone: one membership
+test decides whether v is inside and whether it must be shifted to be
+strictly inside.  realize_vector trusts strictness; its final check of every
+log projection volume against lambda*v decides whether the body is right.
 
 The step LP only searches product-form solutions, z_A = prod of sides over
 A.  That loses nothing: such a z meets every cover constraint of the step
@@ -29,7 +34,6 @@ from typing import Mapping, Optional
 from .boxgeom import Box, BoxUnionBody, disjoint_offset, projection_volume
 from .cone import ConeSystem, build_bt_system, membership
 from .core import (
-    LOG_DIGITS,
     ProjectionVector,
     canonical_subset_order,
     elements,
@@ -46,10 +50,6 @@ DEFAULT_TOLERANCE = Fraction(1, 10**6)
 
 class NotInConeError(ValueError):
     """The vector is outside the cone, so the operation is undefined."""
-
-
-class StrictnessError(ValueError):
-    """The vector does not satisfy every nontrivial generator strictly."""
 
 
 class BoxSystemInfeasible(Exception):
@@ -77,22 +77,15 @@ class InconclusiveError(Exception):
 
 @dataclass(frozen=True)
 class BoxSystem:
-    """One step's targets y and minimal solution z, both in volume space.
+    """One step's minimal solution z, in volume space.
 
     sides maps each element of the ground to the emitted box's extent on that
     axis; z is the induced product map, z_A = prod of sides over A.
     """
 
     ground: int
-    y: dict[int, Fraction]
     z: dict[int, Fraction]
     sides: dict[int, Fraction]
-
-
-@dataclass(frozen=True)
-class RealizationStep:
-    ground: int
-    system: BoxSystem
 
 
 @dataclass(frozen=True)
@@ -100,35 +93,13 @@ class RealizationResult:
     lam: Fraction
     target: ProjectionVector
     body: BoxUnionBody
-    steps: tuple[RealizationStep, ...]
+    steps: tuple[BoxSystem, ...]
     #: per-subset |log |T_A|  -  lam * target_A|
     residual_report: dict[int, Fraction]
     max_gap: Fraction
-    tolerance: Fraction
 
 
-def interior_shift(v: ProjectionVector, eps: Fraction, system: Optional[ConeSystem] = None) -> ProjectionVector:
-    """w_A = v_A + eps.  Every nontrivial irreducible cover has more parts
-    than its multiplicity, so each generator's margin grows by (l-k)*eps > 0
-    and w is strictly interior."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if system is None:
-        system = build_bt_system(v.n)
-    report = membership(system, v)
-    if not report.inside:
-        raise NotInConeError(
-            f"vector violates {len(report.violated)} generator(s), e.g. "
-            + report.violated[0].format_text()
-        )
-    return v.shift(eps)
-
-
-def solve_box_system(
-    ground: int,
-    y: Mapping[int, Fraction],
-    digits: int = LOG_DIGITS,
-) -> BoxSystem:
+def solve_box_system(ground: int, y: Mapping[int, Fraction]) -> BoxSystem:
     """Minimal solution of the step system for `ground` with targets `y`.
 
     In log space the step system is linear:
@@ -153,9 +124,9 @@ def solve_box_system(
     singles = [1 << (e - 1) for e in elements(ground)]
     if m == 1:
         vol = Fraction(y[ground])
-        return BoxSystem(ground, {ground: vol}, {ground: vol}, {elements(ground)[0]: vol})
+        return BoxSystem(ground, {ground: vol}, {elements(ground)[0]: vol})
 
-    eta = {a: log_fraction(Fraction(y[a]), digits) for a in members}
+    eta = {a: log_fraction(Fraction(y[a])) for a in members}
     # log sides are shifted by `big` so they are nonnegative LP variables;
     # the shift provably never binds
     big = 2 * max(abs(e) for e in eta.values()) + 4
@@ -176,7 +147,7 @@ def solve_box_system(
         raise RuntimeError(f"step LP unexpectedly {status}")
     zeta = {s: values[s] - big for s in singles}
 
-    sides = {e: exp_fraction(zeta[1 << (e - 1)], digits) for e in elements(ground)}
+    sides = {e: exp_fraction(zeta[1 << (e - 1)]) for e in elements(ground)}
     # exact consumption: rescale one side so the ground product equals y_ground
     last = elements(ground)[-1]
     prod = Fraction(1)
@@ -191,7 +162,7 @@ def solve_box_system(
             vol *= sides[e]
         z[a] = vol
     _check_solution(ground, dict(y), z)
-    return BoxSystem(ground, {a: Fraction(y[a]) for a in members}, z, sides)
+    return BoxSystem(ground, z, sides)
 
 
 _SLACK = Fraction(1, 10**15)
@@ -207,29 +178,20 @@ def _check_solution(ground, y, z) -> None:
             raise RuntimeError(f"solution exceeds target on {{{format_subset(a)}}}")
 
 
-def realize_vector(
-    v: ProjectionVector,
-    lam,
-    system: Optional[ConeSystem] = None,
-    digits: int = LOG_DIGITS,
-) -> RealizationResult:
+def realize_vector(v: ProjectionVector, lam) -> RealizationResult:
     """Construct a body whose log projection vector is lam*v within DEFAULT_TOLERANCE.
 
-    Requires strict inequality on every nontrivial generator of `system`
-    (default: build_bt_system(v.n)); raises BoxSystemInfeasible when lam is
-    too small for some step.
+    Precondition: v satisfies every nontrivial generator strictly, as
+    find_lambda ensures; it is not re-checked here.  Without it some step
+    can be infeasible at every lam.  Raises BoxSystemInfeasible when lam is
+    too small for some step, and RuntimeError if the body misses lam*v.
     """
     lam = Fraction(lam)
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    if system is None:
-        system = build_bt_system(v.n)
-    for g in system.generators:
-        if g.margin(v) <= 0:
-            raise StrictnessError(f"not strict on {g.format_text()}")
 
-    targets = {a: exp_fraction(lam * v[a], digits) for a in canonical_subset_order(v.n)}
-    steps: list[RealizationStep] = []
+    targets = {a: exp_fraction(lam * v[a]) for a in canonical_subset_order(v.n)}
+    steps: list[BoxSystem] = []
     raw_boxes: list[Box] = []
     for ground in reversed(canonical_subset_order(v.n)):
         y = {}
@@ -237,7 +199,7 @@ def realize_vector(
             if targets[a] <= 0:
                 raise BoxSystemInfeasible(ground, "running target became nonpositive")
             y[a] = targets[a] if a == ground else targets[a] / 2
-        bs = solve_box_system(ground, y, digits=digits)
+        bs = solve_box_system(ground, y)
         zero = Fraction(0)
         intervals = []
         for axis in range(1, v.n + 1):
@@ -246,7 +208,7 @@ def realize_vector(
             else:
                 intervals.append((zero, zero))
         raw_boxes.append(Box(tuple(intervals)))
-        steps.append(RealizationStep(ground, bs))
+        steps.append(bs)
         for a in subsets_of(ground):
             targets[a] -= bs.z[a]
 
@@ -254,11 +216,11 @@ def realize_vector(
     report: dict[int, Fraction] = {}
     for a in canonical_subset_order(v.n):
         vol = projection_volume(body, a)
-        report[a] = abs(log_fraction(vol, digits) - lam * v[a])
+        report[a] = abs(log_fraction(vol) - lam * v[a])
     max_gap = max(report.values())
     if max_gap > DEFAULT_TOLERANCE:
         raise RuntimeError(f"realization drifted beyond tolerance: max gap {float(max_gap):.3g}")
-    return RealizationResult(lam, v, body, tuple(steps), report, max_gap, DEFAULT_TOLERANCE)
+    return RealizationResult(lam, v, body, tuple(steps), report, max_gap)
 
 
 def find_lambda(
@@ -266,14 +228,20 @@ def find_lambda(
     eps: Fraction,
     lambda_cap=DEFAULT_LAMBDA_CAP,
     system: Optional[ConeSystem] = None,
-    digits: int = LOG_DIGITS,
 ) -> RealizationResult:
-    """Interior-shift when strictness fails, then double lambda from 1.
+    """Shift v by eps if some generator is tight, then double lambda from 1.
 
-    Returns the first success; raises InconclusiveError at the cap (never a
-    claim of non-realizability) and NotInConeError for vectors outside the
-    cone of `system` (default: build_bt_system(v.n)).
+    Decides membership in the cone of `system` (default:
+    build_bt_system(v.n)) with one membership test.  A nontrivial
+    irreducible cover with l parts and multiplicity k has l > k, so the
+    shift raises each margin by (l-k)*eps > 0 and leaves v strictly inside.
+    Returns the first success; raises ValueError unless eps > 0,
+    NotInConeError for vectors outside the cone, and InconclusiveError at
+    the cap (never a claim of non-realizability).
     """
+    eps = Fraction(eps)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
     lambda_cap = Fraction(lambda_cap)
     if system is None:
         system = build_bt_system(v.n)
@@ -283,12 +251,12 @@ def find_lambda(
             f"vector violates {len(report.violated)} generator(s), e.g. "
             + report.violated[0].format_text()
         )
-    w = v if not report.tight else v.shift(Fraction(eps))
+    w = v.shift(eps) if report.tight else v
     lam = Fraction(1)
     last: Optional[BoxSystemInfeasible] = None
     while lam <= lambda_cap:
         try:
-            return realize_vector(w, lam, system, digits)
+            return realize_vector(w, lam)
         except BoxSystemInfeasible as exc:
             last = exc
             lam *= 2

@@ -240,6 +240,16 @@ class TestUsageErrors:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("argv", [["witness", "--n", "6"], ["system", "--n", "6", "--kmax", "2"]],
+                             ids=["witness", "system"])
+    def test_cone_dimension_six_refused(self, argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(covercone.__file__).parent.parent))
+        proc = subprocess.run([sys.executable, "-m", "covercone", *argv],
+                              capture_output=True, text=True, env=env, timeout=10)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: cone systems are limited to 1 <= n <= 5\n"
+
     def test_resource_limit_is_exit_three(self):
         env = dict(os.environ, PYTHONPATH=str(Path(covercone.__file__).parent.parent))
         proc = subprocess.run(

@@ -1,9 +1,10 @@
+import hashlib
 import json
 from fractions import Fraction as F
 
 import pytest
 
-from covercone.boxgeom import axiswise_disjoint, projection_volume
+from covercone.boxgeom import axiswise_disjoint, projection_volume, write_body
 from covercone.cone import build_bt_system, membership
 from covercone.core import FormatError
 from covercone.farkas import (
@@ -156,6 +157,13 @@ class TestViolatingBody:
             rhs *= projection_volume(report.body, mask)
         assert lhs < rhs
         assert axiswise_disjoint(report.body)
+
+    def test_guess_body_pinned(self):
+        system = build_bt_system(4)
+        report = violating_body(system, GUESS, check_implication(system, GUESS).vector)
+        assert report.realization.lam == 8
+        digest = hashlib.sha256(write_body(report.body).encode()).hexdigest()
+        assert digest == "aa9dae8f190d4d1c190b7253d50d06bf70cf2c294e23b82bdd83a77f59a61e83"
 
     def test_reversed_generator_body(self):
         system = build_bt_system(2)

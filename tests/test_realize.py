@@ -1,12 +1,13 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from conftest import sample_bt3_vector
-from covercone import realize
-from covercone.boxgeom import axiswise_disjoint, projection_volume
-from covercone.cone import build_bt_system
+from covercone import cone, realize
+from covercone.boxgeom import axiswise_disjoint, projection_volume, write_body
+from covercone.cone import build_bt_system, membership
 from covercone.core import (
     ProjectionVector,
     canonical_subset_order,
@@ -20,9 +21,7 @@ from covercone.realize import (
     BoxSystemInfeasible,
     InconclusiveError,
     NotInConeError,
-    StrictnessError,
     find_lambda,
-    interior_shift,
     realize_vector,
     solve_box_system,
 )
@@ -101,8 +100,11 @@ def assert_matches_full_system(ground, y, system):
 
 
 class TestInteriorShift:
+    """The shift find_lambda applies to a vector with a tight generator: the
+    l > k theorem makes the shifted vector strict, so nothing re-checks it."""
+
     def test_zero_vector_becomes_ones(self):
-        shifted = interior_shift(ProjectionVector.zero(2), F(1))
+        shifted = ProjectionVector.zero(2).shift(F(1))
         assert shifted == ONES2
         g = build_bt_system(2).generators[0]
         assert g.margin(shifted) == 1  # 1 + 1 > 1
@@ -111,8 +113,10 @@ class TestInteriorShift:
         from covercone.witness import theorem9_vector
 
         v = theorem9_vector(4)
-        shifted = interior_shift(v, F(1, 10))
-        for g in build_bt_system(4).generators:
+        system = build_bt_system(4)
+        assert membership(system, v).tight
+        shifted = v.shift(F(1, 10))
+        for g in system.generators:
             assert g.margin(shifted) > 0
 
     def test_margin_grows_by_parts_minus_k(self):
@@ -124,9 +128,11 @@ class TestInteriorShift:
             assert g.margin(shifted) - g.margin(v) == gain
 
     def test_rejects_outside_vector(self):
+        # membership is decided before the shift, which would land inside
         v = ProjectionVector.from_entries(2, {0b11: F(1)})
+        assert membership(build_bt_system(2), v.shift(F(1))).inside
         with pytest.raises(NotInConeError):
-            interior_shift(v, F(1))
+            find_lambda(v, F(1), 64)
 
 
 class TestSolveBoxSystem:
@@ -194,10 +200,10 @@ class TestMinimalityOracle:
             lp_solves[0] += 1
             return real_solve(builder)
 
-        def spy(ground, y, digits):
+        def spy(ground, y):
             before = lp_solves[0]
             try:
-                system = real_step(ground, y, digits)
+                system = real_step(ground, y)
             except BoxSystemInfeasible:
                 steps.append((ground, dict(y), None, lp_solves[0] - before))
                 raise
@@ -233,14 +239,16 @@ class TestRealizeVector:
             realize_vector(ONES2, 1)
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(StrictnessError):
-            realize_vector(ProjectionVector.zero(2), 1)
+        # not strict on x_1 + x_2 >= x_12: the first step is infeasible at every lambda
+        for lam in (1, 2, 64):
+            with pytest.raises(BoxSystemInfeasible):
+                realize_vector(ProjectionVector.zero(2), lam)
 
     def test_positive_sides_and_disjointness(self):
         v = sample_bt3_vector(random.Random(13)).shift(F(1, 4))
         result = find_lambda(v, F(1, 4), 64)
         for step in result.steps:
-            for side in step.system.sides.values():
+            for side in step.sides.values():
                 assert side > 0
         assert axiswise_disjoint(result.body)
 
@@ -272,6 +280,44 @@ class TestFindLambda:
         result = find_lambda(ProjectionVector.zero(2), F(1), 64)
         assert result.target == ONES2
         assert result.lam == 2
+
+    def test_nonpositive_eps_rejected(self):
+        # rejected even on a strict vector, which needs no shift
+        with pytest.raises(ValueError):
+            find_lambda(ONES2, 0, 64)
+
+    def test_cone_read_once(self, monkeypatch):
+        """One membership per find_lambda, none inside realize_vector."""
+        calls = {"membership": 0, "build_bt_system": 0, "margin": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(realize, "membership", counting("membership", membership))
+        monkeypatch.setattr(realize, "build_bt_system", counting("build_bt_system", build_bt_system))
+        monkeypatch.setattr(cone.CoverInequality, "margin",
+                            counting("margin", cone.CoverInequality.margin))
+        realize_vector(ONES2, 2)
+        assert calls == {"membership": 0, "build_bt_system": 0, "margin": 0}
+        v = sample_bt3_vector(random.Random(13))
+        for w in (ProjectionVector.zero(2), v, v.shift(F(1, 4))):
+            calls["membership"] = 0
+            find_lambda(w, F(1, 4), 64)
+            assert calls["membership"] == 1
+        # every margin evaluated belongs to those three membership tests
+        assert calls["margin"] == len(build_bt_system(2).generators) + 2 * len(build_bt_system(3).generators)
+
+    def test_body_pinned(self):
+        """The theorem 9 vector at n = 4 is tight, so it is shifted; hash of its body."""
+        from covercone.witness import theorem9_vector
+
+        result = find_lambda(theorem9_vector(4), F(1, 4))
+        assert result.lam == 16
+        digest = hashlib.sha256(write_body(result.body).encode()).hexdigest()
+        assert digest == "b10ba516a343af73524d019ce776336fcc7a15f550bbc43eb751e0fb1c956539"
 
     def test_outside_cone_rejected(self):
         v = ProjectionVector.from_entries(2, {0b11: F(1)})
