@@ -16,11 +16,11 @@ from typing import Optional, Sequence
 from .core import (
     FormatError,
     ProjectionVector,
-    _loads_strict,
     canonical_subset_order,
     check_dimension,
     elements,
     format_rational,
+    load_object,
     log_fraction,
     parse_rational,
 )
@@ -206,13 +206,8 @@ def write_body(body: BoxUnionBody) -> str:
 
 
 def read_body(text: str) -> BoxUnionBody:
-    data = _loads_strict(text)
-    if not isinstance(data, dict) or "n" not in data or "boxes" not in data:
-        raise FormatError("body file must be an object with 'n' and 'boxes'")
+    data = load_object(text, "body", "n", "boxes")
     n = data["n"]
-    if not isinstance(n, int):
-        raise FormatError("'n' must be an integer")
-    check_dimension(n)
     if not isinstance(data["boxes"], list) or not data["boxes"]:
         raise FormatError("'boxes' must be a nonempty list")
     boxes = []

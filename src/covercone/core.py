@@ -6,6 +6,12 @@ iff element i belongs to the subset.  All scalar arithmetic is exact, on
 evaluated with ``decimal`` at a fixed number of significant digits and
 converted back to exact rationals, so no binary floating point enters any
 computation.
+
+This module also owns the envelope of every JSON artifact file: strict
+JSON without duplicate keys, a top-level object with the required fields,
+``n`` a plain integer in 1..MAX_DIMENSION, and subsets and rationals given
+as strings.  The readers of the other modules go through ``load_object``,
+``read_subset_map``, ``parse_subset`` and ``parse_rational``.
 """
 
 from __future__ import annotations
@@ -34,16 +40,20 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or an integer string; decimal floats are rejected."""
+    """Parse "p/q" or an integer string; decimal floats and non-strings are rejected."""
+    if not isinstance(text, str):
+        raise FormatError(f"a rational must be a string, not {type(text).__name__}")
     text = text.strip()
     if not _RATIONAL_RE.match(text):
         raise FormatError(f"malformed rational {text!r} (expected 'p/q' or integer)")
     num, _, den = text.partition("/")
-    if den:
-        if int(den) == 0:
-            raise FormatError(f"zero denominator in {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(num))
+    try:
+        num, den = int(num), int(den or 1)
+    except ValueError:  # beyond the interpreter's limit on integer digits
+        raise FormatError(f"rational of {len(text)} characters is too long") from None
+    if den == 0:
+        raise FormatError(f"zero denominator in {text!r}")
+    return Fraction(num, den)
 
 
 def format_rational(q: Fraction) -> str:
@@ -98,6 +108,8 @@ def format_subset(mask: int) -> str:
 
 def parse_subset(text: str, n: int, allow_empty: bool = False) -> int:
     """Parse a comma-separated, strictly ascending element list into a mask."""
+    if not isinstance(text, str):
+        raise FormatError(f"a subset must be a string, not {type(text).__name__}")
     text = text.strip()
     if text == "":
         if allow_empty:
@@ -193,43 +205,55 @@ class ProjectionVector:
         return ProjectionVector.from_entries(n, dict(self.entries))
 
 
-def _loads_strict(text: str) -> dict:
-    """json.loads that rejects duplicate object keys."""
+def _unique_keys(pairs) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise FormatError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
 
-    def hook(pairs):
-        obj = {}
-        for key, value in pairs:
-            if key in obj:
-                raise FormatError(f"duplicate key {key!r}")
-            obj[key] = value
-        return obj
 
+def load_object(text: str, what: str, *fields: str) -> dict:
+    """Parse an artifact file: a JSON object holding every one of `fields`.
+
+    Malformed, too deeply nested or duplicate-key JSON raises FormatError,
+    and so does an 'n' field (when listed) that is not an int in
+    1..MAX_DIMENSION.
+    """
     try:
-        data = json.loads(text, object_pairs_hook=hook)
-    except json.JSONDecodeError as exc:
+        data = json.loads(text, object_pairs_hook=_unique_keys)
+    except (ValueError, RecursionError) as exc:  # FormatError from the hook included
         raise FormatError(f"invalid JSON: {exc}") from None
+    if not isinstance(data, dict) or not all(field in data for field in fields):
+        raise FormatError(f"{what} file must be an object with fields " + ", ".join(map(repr, fields)))
+    if "n" in fields and (type(data["n"]) is not int or not 1 <= data["n"] <= MAX_DIMENSION):
+        raise FormatError(f"'n' must be an integer in 1..{MAX_DIMENSION}")
     return data
+
+
+def read_subset_map(raw, n: int, name: str) -> dict[int, Fraction]:
+    """A {subset string: rational string} object as {mask: value}.
+
+    Two spellings of one subset (say "1" and "01") raise FormatError.
+    """
+    if not isinstance(raw, dict):
+        raise FormatError(f"'{name}' must be an object")
+    out: dict[int, Fraction] = {}
+    for key, value in raw.items():
+        mask = parse_subset(key, n)
+        if mask in out:
+            raise FormatError(f"subset {{{format_subset(mask)}}} appears twice in '{name}'")
+        out[mask] = parse_rational(value)
+    return out
 
 
 def read_vector(text: str) -> ProjectionVector:
     """Parse a vector file; missing subset keys default to 0."""
-    data = _loads_strict(text)
-    if not isinstance(data, dict) or "n" not in data:
-        raise FormatError("vector file must be an object with an 'n' field")
-    n = data["n"]
-    if not isinstance(n, int):
-        raise FormatError("'n' must be an integer")
-    check_dimension(n)
-    raw = data.get("entries", {})
-    if not isinstance(raw, dict):
-        raise FormatError("'entries' must be an object")
-    entries = {}
-    for key, value in raw.items():
-        mask = parse_subset(key, n)
-        if not isinstance(value, str):
-            raise FormatError(f"entry {key!r} must be a rational string")
-        entries[mask] = parse_rational(value)
-    return ProjectionVector.from_entries(n, entries)
+    data = load_object(text, "vector", "n")
+    return ProjectionVector.from_entries(
+        data["n"], read_subset_map(data.get("entries", {}), data["n"], "entries")
+    )
 
 
 def write_vector(v: ProjectionVector) -> str:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .core import FormatError, MAX_DIMENSION, _loads_strict, format_subset, parse_subset, subsets_of
+from .core import FormatError, MAX_DIMENSION, format_subset, load_object, parse_subset, subsets_of
 
 #: guard against runaway enumerations: k_max * |ground| parts at most
 COVER_PART_LIMIT = 64
@@ -266,18 +266,10 @@ def cover_to_obj(cover: UniformCover) -> dict:
 
 
 def cover_from_json(text: str) -> UniformCover:
-    return cover_from_obj(_loads_strict(text))
-
-
-def cover_from_obj(data: dict) -> UniformCover:
-    if not isinstance(data, dict):
-        raise FormatError("cover file must be a JSON object")
-    for field in ("ground", "k", "parts"):
-        if field not in data:
-            raise FormatError(f"cover file missing {field!r}")
+    data = load_object(text, "cover", "ground", "k", "parts")
     ground = parse_subset(data["ground"], MAX_DIMENSION)
     k = data["k"]
-    if not isinstance(k, int) or k < 1:
+    if type(k) is not int or k < 1:
         raise FormatError("'k' must be a positive integer")
     if not isinstance(data["parts"], list):
         raise FormatError("'parts' must be a list")

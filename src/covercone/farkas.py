@@ -22,13 +22,12 @@ from .cone import ConeSystem, membership
 from .core import (
     FormatError,
     ProjectionVector,
-    _loads_strict,
     canonical_subset_order,
     check_dimension,
     format_rational,
     format_subset,
-    parse_rational,
-    parse_subset,
+    load_object,
+    read_subset_map,
 )
 from .realize import RealizationResult, find_lambda
 from .simplex import INFEASIBLE, OPTIMAL, solve_equality_lp
@@ -209,29 +208,11 @@ def violating_body(
 # file formats
 
 def read_inequality(text: str) -> LinearInequality:
-    data = _loads_strict(text)
-    if not isinstance(data, dict) or "n" not in data:
-        raise FormatError("inequality file must be an object with an 'n' field")
-    n = data["n"]
-    if not isinstance(n, int):
-        raise FormatError("'n' must be an integer")
-    check_dimension(n)
-    sides = {}
-    for name in ("lhs", "rhs"):
-        raw = data.get(name, {})
-        if not isinstance(raw, dict):
-            raise FormatError(f"'{name}' must be an object")
-        parsed = {}
-        for key, value in raw.items():
-            mask = parse_subset(key, n)
-            if not isinstance(value, str):
-                raise FormatError(f"coefficient for {key!r} must be a rational string")
-            coeff = parse_rational(value)
-            if coeff < 0:
-                raise FormatError(f"coefficient for {key!r} must be nonnegative")
-            parsed[mask] = coeff
-        sides[name] = parsed
-    return LinearInequality.from_maps(n, sides["lhs"], sides["rhs"])
+    data = load_object(text, "inequality", "n")
+    lhs, rhs = (read_subset_map(data.get(name, {}), data["n"], name) for name in ("lhs", "rhs"))
+    if any(c < 0 for side in (lhs, rhs) for c in side.values()):
+        raise FormatError("coefficients must be nonnegative")
+    return LinearInequality.from_maps(data["n"], lhs, rhs)
 
 
 def write_inequality(ineq: LinearInequality) -> str:

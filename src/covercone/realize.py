@@ -235,14 +235,16 @@ def find_lambda(
     build_bt_system(v.n)) with one membership test.  A nontrivial
     irreducible cover with l parts and multiplicity k has l > k, so the
     shift raises each margin by (l-k)*eps > 0 and leaves v strictly inside.
-    Returns the first success; raises ValueError unless eps > 0,
-    NotInConeError for vectors outside the cone, and InconclusiveError at
-    the cap (never a claim of non-realizability).
+    Returns the first success; raises ValueError unless eps > 0 and
+    lambda_cap >= 1, NotInConeError for vectors outside the cone, and
+    InconclusiveError at the cap (never a claim of non-realizability).
     """
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     lambda_cap = Fraction(lambda_cap)
+    if lambda_cap < 1:
+        raise ValueError("lambda_cap must be at least 1")
     if system is None:
         system = build_bt_system(v.n)
     report = membership(system, v)

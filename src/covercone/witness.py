@@ -19,9 +19,9 @@ from .cone import CoverInequality, build_bt_system, membership
 from .core import (
     FormatError,
     ProjectionVector,
-    _loads_strict,
     check_dimension,
     format_subset,
+    load_object,
     parse_subset,
 )
 
@@ -135,23 +135,13 @@ def shearer_check(family: SetFamily, cover_sets: Sequence[int], k: int) -> Shear
 # family file format
 
 def read_family(text: str) -> SetFamily:
-    data = _loads_strict(text)
-    if not isinstance(data, dict) or "n" not in data or "members" not in data:
-        raise FormatError("family file must be an object with 'n' and 'members'")
-    n = data["n"]
-    if not isinstance(n, int):
-        raise FormatError("'n' must be an integer")
-    check_dimension(n)
+    data = load_object(text, "family", "n", "members")
     if not isinstance(data["members"], list):
         raise FormatError("'members' must be a list")
-    members = []
-    for entry in data["members"]:
-        if not isinstance(entry, str):
-            raise FormatError("family members must be subset strings")
-        members.append(parse_subset(entry, n, allow_empty=True))
+    members = [parse_subset(entry, data["n"], allow_empty=True) for entry in data["members"]]
     if len(set(members)) != len(members):
         raise FormatError("duplicate family member")
-    return SetFamily.from_members(n, members)
+    return SetFamily.from_members(data["n"], members)
 
 
 def write_family(family: SetFamily) -> str:

@@ -5,13 +5,22 @@ The oracles here deliberately reimplement results by different means
 instead of pruned search) so agreement is meaningful.
 """
 
+import os
 from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
+from hypothesis import settings
 
 from covercone.boxgeom import Box, BoxUnionBody
 from covercone.core import ProjectionVector, elements
+
+# CI runs (GitHub Actions sets CI) draw the same examples every time and keep
+# no example database, so a property test cannot pass on one run and fail on
+# the next.
+settings.register_profile("ci", derandomize=True, database=None)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 # ---------------------------------------------------------------------------

@@ -250,6 +250,34 @@ class TestUsageErrors:
         assert proc.stdout == ""
         assert proc.stderr == "error: cone systems are limited to 1 <= n <= 5\n"
 
+    @pytest.mark.parametrize(
+        "argv, text",
+        [(["project", "--body", "in.json", "--out", "out.json"],
+          '{"n": 1, "boxes": [{"intervals": [[0, 1]]}]}'),
+         (["member", "--vector", "in.json"], "[" * 100000 + "]" * 100000)],
+        ids=["numeric-endpoint", "deep-nesting"],
+    )
+    def test_malformed_file_is_one_error_line(self, tmp_path, argv, text):
+        env = dict(os.environ, PYTHONPATH=str(Path(covercone.__file__).parent.parent))
+        write(tmp_path, "in.json", text)
+        proc = subprocess.run([sys.executable, "-m", "covercone", *argv], cwd=tmp_path,
+                              capture_output=True, text=True, env=env, timeout=30)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
+    def test_lambda_cap_below_one_is_usage_error(self, capsys, tmp_path):
+        vec = write(tmp_path, "ones.json", ONES2)
+        code, out, err = run(
+            capsys, "realize", "--vector", vec, "--out", str(tmp_path / "x.json"),
+            "--lambda-cap", "0",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: lambda_cap must be at least 1\n"
+
     def test_resource_limit_is_exit_three(self):
         env = dict(os.environ, PYTHONPATH=str(Path(covercone.__file__).parent.parent))
         proc = subprocess.run(

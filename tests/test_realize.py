@@ -286,6 +286,11 @@ class TestFindLambda:
         with pytest.raises(ValueError):
             find_lambda(ONES2, 0, 64)
 
+    @pytest.mark.parametrize("cap", ["0", "1/2", "-4"])
+    def test_cap_below_one_rejected(self, cap):
+        with pytest.raises(ValueError, match="lambda_cap"):
+            find_lambda(ONES2, F(1, 4), cap)
+
     def test_cone_read_once(self, monkeypatch):
         """One membership per find_lambda, none inside realize_vector."""
         calls = {"membership": 0, "build_bt_system": 0, "margin": 0}
