@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 negative domain verdict (not in cone, not implied,
 infeasible/inconclusive, zero projection), 2 usage or file-format errors,
 3 resource limit or internal failure (any RuntimeError: an enumeration or
-pivot budget ran out, or a self-check failed); codes 2 and 3 print one
-`error: ...` line on stderr.
+pivot budget ran out, `imply --emit-body` found no body within the lambda
+cap, a value overflowed exp's decimal range, or a self-check failed);
+codes 2 and 3 print one `error: ...` line on stderr.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from . import boxgeom, cone, covers, farkas, realize, witness
 from .core import (
     FormatError,
     MAX_DIMENSION,
-    ProjectionVector,
     canonical_subset_order,
     format_rational,
     format_subset,
@@ -62,18 +62,9 @@ def cmd_covers(args) -> int:
     return 0
 
 
-def _load_vector(path: str, n_override) -> ProjectionVector:
-    v = read_vector(_read_text(path))
-    if n_override is not None:
-        if n_override < v.n:
-            raise FormatError(f"--n {n_override} is below the file dimension {v.n}")
-        v = v.embed(n_override)
-    return v
-
-
 def cmd_member(args) -> int:
-    v = _load_vector(args.vector, args.n)
-    system = cone.build_bt_system(v.n, args.kmax)
+    v = read_vector(_read_text(args.vector))
+    system = cone.build_bt_system(v.n)
     report = cone.membership(system, v)
     _print({
         "n": v.n,
@@ -149,8 +140,6 @@ def cmd_realize(args) -> int:
             for step in result.steps
         ],
     }
-    if args.report:
-        Path(args.report).write_text(json.dumps(report, indent=2), encoding="utf-8")
     _print(report)
     return 0
 
@@ -179,7 +168,7 @@ def cmd_project(args) -> int:
 
 
 def cmd_system(args) -> int:
-    system = cone.build_bt_system(args.n, args.kmax)
+    system = cone.build_bt_system(args.n)
     text = system.h_representation()
     if text:
         print(text)
@@ -188,7 +177,7 @@ def cmd_system(args) -> int:
 
 def cmd_witness(args) -> int:
     v = witness.theorem9_vector(args.n)
-    report = witness.analyze_witness(v, args.kmax)
+    report = witness.analyze_witness(v)
     _print({
         "n": args.n,
         "vector": json.loads(write_vector(v)),
@@ -204,10 +193,10 @@ def cmd_witness(args) -> int:
 def cmd_shearer(args) -> int:
     family = witness.read_family(_read_text(args.family))
     cover = covers.cover_from_json(_read_text(args.cover))
-    report = witness.shearer_check(family, cover.parts, args.k)
+    report = witness.shearer_check(family, cover.parts, cover.k)
     _print({
         "family_size": len(family.members),
-        "k": args.k,
+        "k": cover.k,
         "trace_sizes": list(report.trace_sizes),
         "lhs_product": report.lhs_product,
         "rhs_power": report.rhs_power,
@@ -225,20 +214,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("covers", help="enumerate uniform covers of a ground set")
     p.add_argument("--ground", required=True, help="comma-separated elements, e.g. 1,2,3")
-    p.add_argument("--kmax", type=int, default=None)
+    p.add_argument("--kmax", type=int, default=None,
+                   help="list only covers of multiplicity k <= KMAX (default: |ground|)")
     p.add_argument("--irreducible", action="store_true")
     p.set_defaults(func=cmd_covers)
 
     p = sub.add_parser("member", help="test cone membership of a vector file")
     p.add_argument("--vector", required=True)
-    p.add_argument("--n", type=int, default=None, help="embed into this dimension")
-    p.add_argument("--kmax", type=int, default=None)
     p.set_defaults(func=cmd_member)
 
     p = sub.add_parser("imply", help="certificate or witness for an inequality file")
     p.add_argument("--inequality", required=True)
     p.add_argument("--emit-body", default=None, help="write a violating body here")
-    p.add_argument("--kmax", type=int, default=None)
+    p.add_argument("--kmax", type=int, default=None,
+                   help="use only covers with k <= KMAX (default: the complete cone); below "
+                        "|Y| the cone is partial, so a certificate is still valid but a "
+                        "refutation may be wrong")
     p.set_defaults(func=cmd_imply)
 
     p = sub.add_parser("realize", help="construct a body for a scaled interior vector")
@@ -246,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", default="1/4")
     p.add_argument("--lambda-cap", default=str(realize.DEFAULT_LAMBDA_CAP))
     p.add_argument("--out", required=True)
-    p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_realize)
 
     p = sub.add_parser("project", help="exact projection volumes and log vector of a body")
@@ -256,18 +246,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("system", help="print the generator list as plain-text inequalities")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--kmax", type=int, default=None)
     p.set_defaults(func=cmd_system)
 
     p = sub.add_parser("witness", help="analyze the boundary witness vector")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--kmax", type=int, default=None)
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("shearer", help="discrete product-theorem check for a set family")
     p.add_argument("--family", required=True)
-    p.add_argument("--cover", required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--cover", required=True, help="its multiplicity k is the one checked")
     p.set_defaults(func=cmd_shearer)
     return parser
 

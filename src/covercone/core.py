@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import Decimal, Overflow, localcontext
 from fractions import Fraction
 from typing import Iterator, Mapping
 
@@ -36,15 +36,15 @@ class FormatError(ValueError):
 # ---------------------------------------------------------------------------
 # rationals
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or an integer string; decimal floats and non-strings are rejected."""
+    """Parse "p/q" or an integer string in ASCII digits; decimal floats,
+    whitespace and non-strings are rejected."""
     if not isinstance(text, str):
         raise FormatError(f"a rational must be a string, not {type(text).__name__}")
-    text = text.strip()
-    if not _RATIONAL_RE.match(text):
+    if not _RATIONAL_RE.fullmatch(text):
         raise FormatError(f"malformed rational {text!r} (expected 'p/q' or integer)")
     num, _, den = text.partition("/")
     try:
@@ -78,7 +78,10 @@ def exp_fraction(q: Fraction) -> Fraction:
     """exp(q) rounded to LOG_DIGITS significant digits, as an exact rational."""
     with localcontext() as ctx:
         ctx.prec = LOG_DIGITS
-        d = (Decimal(q.numerator) / Decimal(q.denominator)).exp()
+        try:
+            d = (Decimal(q.numerator) / Decimal(q.denominator)).exp()
+        except Overflow:
+            raise RuntimeError(f"exp({q}) overflows the decimal exponent range") from None
     return Fraction(d)
 
 
@@ -106,26 +109,30 @@ def format_subset(mask: int) -> str:
     return ",".join(str(i) for i in elements(mask))
 
 
+_SUBSET_RE = re.compile(r"[1-9][0-9]*(,[1-9][0-9]*)*")
+
+
 def parse_subset(text: str, n: int, allow_empty: bool = False) -> int:
-    """Parse a comma-separated, strictly ascending element list into a mask."""
+    """Parse a subset as format_subset writes it into a mask: strictly
+    ascending ASCII elements joined by "," with no whitespace; "" is the
+    empty set where allow_empty is set."""
     if not isinstance(text, str):
         raise FormatError(f"a subset must be a string, not {type(text).__name__}")
-    text = text.strip()
     if text == "":
         if allow_empty:
             return 0
         raise FormatError("empty subset not allowed here")
+    if not _SUBSET_RE.fullmatch(text):
+        raise FormatError(f"malformed subset {text!r} (expected ascending elements like '1,2,4')")
     mask = 0
     prev = 0
     for token in text.split(","):
-        try:
-            e = int(token)
-        except ValueError:
-            raise FormatError(f"bad element {token!r} in subset {text!r}") from None
+        # without leading zeros, more digits than n means larger than n
+        if len(token) > len(str(n)) or int(token) > n:
+            raise FormatError(f"element {token} exceeds dimension {n}")
+        e = int(token)
         if e <= prev:
             raise FormatError(f"elements of {text!r} must be strictly ascending")
-        if e > n:
-            raise FormatError(f"element {e} exceeds dimension {n}")
         mask |= 1 << (e - 1)
         prev = e
     return mask
@@ -235,17 +242,12 @@ def load_object(text: str, what: str, *fields: str) -> dict:
 def read_subset_map(raw, n: int, name: str) -> dict[int, Fraction]:
     """A {subset string: rational string} object as {mask: value}.
 
-    Two spellings of one subset (say "1" and "01") raise FormatError.
+    Each subset has one spelling and load_object refuses a repeated key, so
+    no subset can appear twice.
     """
     if not isinstance(raw, dict):
         raise FormatError(f"'{name}' must be an object")
-    out: dict[int, Fraction] = {}
-    for key, value in raw.items():
-        mask = parse_subset(key, n)
-        if mask in out:
-            raise FormatError(f"subset {{{format_subset(mask)}}} appears twice in '{name}'")
-        out[mask] = parse_rational(value)
-    return out
+    return {parse_subset(key, n): parse_rational(value) for key, value in raw.items()}
 
 
 def read_vector(text: str) -> ProjectionVector:

@@ -63,7 +63,7 @@ class BoxSystemInfeasible(Exception):
         super().__init__(msg)
 
 
-class InconclusiveError(Exception):
+class InconclusiveError(RuntimeError):
     """The doubling search hit the cap; realizability remains undecided."""
 
     def __init__(self, lambda_cap: Fraction, last: Optional[BoxSystemInfeasible]):

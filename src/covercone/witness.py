@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .cone import CoverInequality, build_bt_system, membership
 from .core import (
@@ -80,12 +80,13 @@ def theorem9_vector(n: int) -> ProjectionVector:
     return ProjectionVector.from_entries(n, entries)
 
 
-def analyze_witness(v: ProjectionVector, k_max: Optional[int] = None) -> WitnessReport:
+def analyze_witness(v: ProjectionVector) -> WitnessReport:
     """Cone membership with tight generators, plus the obstruction equation
-    x_123 - x_12 = x_234 - x_24 evaluated exactly.  Needs n >= 4."""
+    x_123 - x_12 = x_234 - x_24 evaluated exactly, on the complete cone
+    build_bt_system(v.n).  Needs n >= 4."""
     if v.n < 4:
         raise ValueError("witness analysis needs dimension >= 4")
-    system = build_bt_system(v.n, k_max)
+    system = build_bt_system(v.n)
     report = membership(system, v)
     return WitnessReport(
         vector=v,

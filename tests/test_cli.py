@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -9,7 +10,7 @@ import pytest
 
 import covercone
 from covercone.boxgeom import read_body, write_body, BoxUnionBody, Box
-from covercone.cli import main
+from covercone.cli import build_parser, main
 from covercone.core import read_vector, write_vector, ProjectionVector
 
 
@@ -32,6 +33,11 @@ GUESS = json.dumps(
 )
 DERIVED_OK = json.dumps(
     {"n": 3, "lhs": {"1": "1", "2": "1", "1,3": "1", "2,3": "1"}, "rhs": {"1,2,3": "2"}}
+)
+# Loomis-Whitney: implied by the complete n = 4 cone, refuted at k <= 2
+LW4 = json.dumps(
+    {"n": 4, "lhs": {"1,2,3": "1", "1,2,4": "1", "1,3,4": "1", "2,3,4": "1"},
+     "rhs": {"1,2,3,4": "3"}}
 )
 
 
@@ -77,8 +83,8 @@ class TestMemberCommand:
         assert data["violated"] == [{"ground": "1,2", "k": 1, "parts": ["1", "2"]}]
 
     def test_embed_flag(self, capsys, tmp_path):
-        path = write(tmp_path, "v.json", '{"n":2,"entries":{"1":"1","2":"1","1,2":"1"}}')
-        code, out, _ = run(capsys, "member", "--vector", path, "--n", "3")
+        path = write(tmp_path, "v.json", '{"n":3,"entries":{"1":"1","2":"1","1,2":"1"}}')
+        code, out, _ = run(capsys, "member", "--vector", path)
         assert code == 0
         assert json.loads(out)["n"] == 3
 
@@ -124,17 +130,13 @@ class TestRealizeCommand:
     def test_hand_case(self, capsys, tmp_path):
         vec = write(tmp_path, "ones.json", ONES2)
         out_path = str(tmp_path / "body.json")
-        report_path = str(tmp_path / "report.json")
-        code, out, _ = run(
-            capsys, "realize", "--vector", vec, "--out", out_path, "--report", report_path
-        )
+        code, out, _ = run(capsys, "realize", "--vector", vec, "--out", out_path)
         assert code == 0
         data = json.loads(out)
         assert data["realized"] is True
         assert data["lambda"] == "2"
         body = read_body((tmp_path / "body.json").read_text())
         assert len(body.boxes) == 3
-        assert json.loads((tmp_path / "report.json").read_text()) == data
 
     def test_not_in_cone(self, capsys, tmp_path):
         vec = write(tmp_path, "bad.json", '{"n":2,"entries":{"1,2":"1"}}')
@@ -212,18 +214,18 @@ class TestShearerCommand:
             tmp_path, "cov.json",
             json.dumps({"ground": "1,2", "k": 1, "parts": ["1", "2"]}),
         )
-        code, out, _ = run(capsys, "shearer", "--family", family, "--cover", cover, "--k", "1")
+        code, out, _ = run(capsys, "shearer", "--family", family, "--cover", cover)
         assert code == 0
         data = json.loads(out)
         assert data["holds"] is True
         assert data["lhs_product"] == data["rhs_power"] == 4
 
     def test_coverage_violation_is_usage_error(self, capsys, tmp_path):
-        family = write(tmp_path, "fam.json", json.dumps({"n": 2, "members": ["1"]}))
+        family = write(tmp_path, "fam.json", json.dumps({"n": 3, "members": ["1"]}))
         cover = write(
             tmp_path, "cov.json", json.dumps({"ground": "1,2", "k": 1, "parts": ["1", "2"]})
         )
-        code, _, err = run(capsys, "shearer", "--family", family, "--cover", cover, "--k", "2")
+        code, _, err = run(capsys, "shearer", "--family", family, "--cover", cover)
         assert code == 2
         assert "coverage" in err
 
@@ -240,7 +242,7 @@ class TestUsageErrors:
         assert code == 2
         assert "error" in err
 
-    @pytest.mark.parametrize("argv", [["witness", "--n", "6"], ["system", "--n", "6", "--kmax", "2"]],
+    @pytest.mark.parametrize("argv", [["witness", "--n", "6"], ["system", "--n", "6"]],
                              ids=["witness", "system"])
     def test_cone_dimension_six_refused(self, argv):
         env = dict(os.environ, PYTHONPATH=str(Path(covercone.__file__).parent.parent))
@@ -278,6 +280,39 @@ class TestUsageErrors:
         assert out == ""
         assert err == "error: lambda_cap must be at least 1\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["member", "--vector", "v.json", "--kmax", "2"],
+        ["member", "--vector", "v.json", "--n", "3"],
+        ["witness", "--n", "4", "--kmax", "3"],
+        ["system", "--n", "4", "--kmax", "2"],
+        ["realize", "--vector", "v.json", "--out", "b.json", "--report", "r.json"],
+        ["shearer", "--family", "f.json", "--cover", "c.json", "--k", "1"],
+    ], ids=["member-kmax", "member-n", "witness-kmax", "system-kmax", "realize-report", "shearer-k"])
+    def test_dropped_option_unrecognized(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, name, text",
+        [(["imply", "--inequality", "in.json", "--kmax", "2", "--emit-body", "b.json"],
+          "in.json", LW4),
+         (["realize", "--vector", "in.json", "--out", "b.json"],
+          "in.json", '{"n":1,"entries":{"1":"10000000"}}')],
+        ids=["emit-body-inconclusive", "exp-overflow"],
+    )
+    def test_gives_up_with_one_error_line(self, tmp_path, argv, name, text):
+        env = dict(os.environ, PYTHONPATH=str(Path(covercone.__file__).parent.parent))
+        write(tmp_path, name, text)
+        proc = subprocess.run([sys.executable, "-m", "covercone", *argv], cwd=tmp_path,
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
     def test_resource_limit_is_exit_three(self):
         env = dict(os.environ, PYTHONPATH=str(Path(covercone.__file__).parent.parent))
         proc = subprocess.run(
@@ -290,3 +325,16 @@ class TestUsageErrors:
         assert proc.stderr.startswith("error: ")
         assert proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
+
+
+def test_readme_cli_examples_parse():
+    """Every `covercone ...` command in README's CLI block (a trailing
+    backslash continues a line) is accepted by the parser."""
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("covercone ")]
+    parser = build_parser()
+    commands = {parser.parse_args(shlex.split(line)[1:]).command for line in lines}
+    assert commands == {"covers", "member", "imply", "realize", "project", "system",
+                        "witness", "shearer"}

@@ -74,6 +74,12 @@ class TestSubsets:
         with pytest.raises(FormatError):
             parse_subset("1,x", 4)
 
+    @pytest.mark.parametrize("text", ["1_0", " +2", "\u0661,\u0662", "01", "1, 2", " 1"])
+    def test_parse_subset_rejects_unwritten_spellings(self, text):
+        """Only the spelling format_subset writes is read."""
+        with pytest.raises(FormatError):
+            parse_subset(text, 16)
+
     def test_elements(self):
         assert elements(0b101101) == [1, 3, 4, 6]
 
@@ -85,7 +91,8 @@ class TestRationals:
         assert parse_rational("0") == 0
         assert parse_rational("6/4") == Fraction(3, 2)
 
-    @pytest.mark.parametrize("bad", ["1.5", "1e3", "", "1/0", "one", "3 / 4", "0x2"])
+    @pytest.mark.parametrize("bad", ["1.5", "1e3", "", "1/0", "one", "3 / 4", "0x2",
+                                     "\u0663/\u0664", " 3/4", "3/4\n"])
     def test_parse_rejects(self, bad):
         with pytest.raises(FormatError):
             parse_rational(bad)

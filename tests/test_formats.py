@@ -138,6 +138,7 @@ REJECTED = {
     "inequality-n-true": ("inequality", '{"n": true, "lhs": {"1": "1"}}'),
     "body-n-true": ("body", '{"n": true, "boxes": [{"intervals": [["0", "1"]]}]}'),
     "family-n-true": ("family", '{"n": true, "members": ["1"]}'),
+    "family-blank-member": ("family", '{"n": 1, "members": ["   "]}'),
     "vector-aliased-keys": ("vector", '{"n": 1, "entries": {"1": "5", "01": "-3"}}'),
     "inequality-aliased-keys": ("inequality", '{"n": 1, "lhs": {"1": "5", "01": "3"}}'),
     "vector-long-rational": ("vector", '{"n": 1, "entries": {"1": "%s"}}' % LONG),
