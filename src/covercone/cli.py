@@ -1,17 +1,19 @@
 """Command-line front end over the JSON file formats.
 
 Exit codes: 0 success, 1 negative domain verdict (not in cone, not implied,
-infeasible/inconclusive, zero projection), 2 usage or file-format errors,
-3 resource limit or internal failure (any RuntimeError: an enumeration or
-pivot budget ran out, `imply --emit-body` found no body within the lambda
-cap, a value overflowed exp's decimal range, or a self-check failed);
-codes 2 and 3 print one `error: ...` line on stderr.
+infeasible/inconclusive, zero projection), 2 usage errors or an input file
+that is malformed or unreadable, 3 resource limit, output or internal
+failure (any RuntimeError: an enumeration or pivot budget ran out, `imply
+--emit-body` found no body within the lambda cap, exp left the decimal
+exponent range, or a self-check failed; an OSError writing `--out`,
+`--emit-body` or stdout); codes 2 and 3 print one `error: ...` line.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -36,10 +38,11 @@ def _print(obj) -> None:
 
 
 def _read_text(path: str) -> str:
-    p = Path(path)
-    if not p.exists():
-        raise FormatError(f"input file not found: {path}")
-    return p.read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        why = "not found" if isinstance(exc, FileNotFoundError) else f"unreadable ({exc.strerror})"
+        raise FormatError(f"input file {why}: {path}") from None
 
 
 def _cover_objs(items) -> list[dict]:
@@ -93,7 +96,7 @@ def cmd_imply(args) -> int:
         "violation_gap": format_rational(result.gap),
     }
     if args.emit_body:
-        report = farkas.violating_body(system, ineq, result.vector)
+        report = farkas.violating_body(ineq, result.vector)
         Path(args.emit_body).write_text(boxgeom.write_body(report.body), encoding="utf-8")
         out["body_file"] = args.emit_body
         out["body"] = {
@@ -263,12 +266,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
     except ValueError as exc:  # includes FormatError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
+    except (RuntimeError, OSError) as exc:  # _read_text made input OSErrors FormatErrors
         print(f"error: {exc}", file=sys.stderr)
+        try:
+            sys.stdout.flush()
+        except OSError:  # stdout itself failed: let the flush at exit go to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 3
 
 

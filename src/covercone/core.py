@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from decimal import Decimal, Overflow, localcontext
+from decimal import Decimal, Overflow, Underflow, localcontext
 from fractions import Fraction
 from typing import Iterator, Mapping
 
@@ -75,13 +75,15 @@ def log_fraction(q: Fraction) -> Fraction:
 
 
 def exp_fraction(q: Fraction) -> Fraction:
-    """exp(q) rounded to LOG_DIGITS significant digits, as an exact rational."""
+    """exp(q) rounded to LOG_DIGITS significant digits, as an exact rational;
+    RuntimeError if it overflows or underflows the decimal exponent range."""
     with localcontext() as ctx:
         ctx.prec = LOG_DIGITS
+        ctx.traps[Underflow] = True
         try:
             d = (Decimal(q.numerator) / Decimal(q.denominator)).exp()
-        except Overflow:
-            raise RuntimeError(f"exp({q}) overflows the decimal exponent range") from None
+        except (Overflow, Underflow):
+            raise RuntimeError(f"exp({q}) leaves the decimal exponent range") from None
     return Fraction(d)
 
 
@@ -204,12 +206,6 @@ class ProjectionVector:
 
     def scale(self, q: Fraction) -> "ProjectionVector":
         return ProjectionVector(self.n, {m: v * q for m, v in self.entries.items()})
-
-    def embed(self, n: int) -> "ProjectionVector":
-        """Zero-extend into a larger dimension."""
-        if n < self.n:
-            raise ValueError(f"cannot embed n={self.n} vector into n={n}")
-        return ProjectionVector.from_entries(n, dict(self.entries))
 
 
 def _unique_keys(pairs) -> dict:

@@ -29,7 +29,7 @@ from .core import (
     load_object,
     read_subset_map,
 )
-from .realize import RealizationResult, find_lambda
+from .realize import RealizationResult, double_lambda
 from .simplex import INFEASIBLE, OPTIMAL, solve_equality_lp
 
 
@@ -109,21 +109,18 @@ def check_implication(system: ConeSystem, ineq: LinearInequality) -> Union[Farka
     target = [Fraction(0)] * len(order)
     for mask, c in ineq.coefficient_map().items():
         target[index[mask]] = c
-    columns = []
-    for g in system.generators:
-        col = [Fraction(0)] * len(order)
+    rows = [[Fraction(0)] * len(system.generators) for _ in order]
+    for j, g in enumerate(system.generators):
         for mask, c in g.coefficient_map().items():
-            col[index[mask]] = Fraction(c)
-        columns.append(col)
-    rows = [[columns[j][i] for j in range(len(columns))] for i in range(len(order))]
-    res = solve_equality_lp(rows, target, [Fraction(0)] * len(columns))
+            rows[index[mask]][j] = Fraction(c)
+    res = solve_equality_lp(rows, target, [Fraction(0)] * len(system.generators))
 
     if res.status == OPTIMAL:
         weights = {j: w for j, w in enumerate(res.x) if w != 0}
         recon = [Fraction(0)] * len(order)
         for j, w in weights.items():
-            for i in range(len(order)):
-                recon[i] += w * columns[j][i]
+            for mask, c in system.generators[j].coefficient_map().items():
+                recon[index[mask]] += w * c
         if recon != target:
             raise RuntimeError("certificate failed exact reconstruction")
         return FarkasCertificate(weights)
@@ -162,21 +159,17 @@ class ViolationReport:
         return self.lhs_product < self.rhs_product
 
 
-def violating_body(
-    system: ConeSystem,
-    ineq: LinearInequality,
-    witness: ProjectionVector,
-) -> ViolationReport:
+def violating_body(ineq: LinearInequality, witness: ProjectionVector) -> ViolationReport:
     """Turn a separating witness into an actual counterexample body.
 
-    The witness is shifted into the strict interior of `system`'s cone by an
-    eps small enough to keep the candidate violated, realized against
-    `system` at the first doubling lambda that works, and the violation
-    re-verified on exact projection volumes.
+    The witness is shifted by an eps small enough to keep the candidate
+    violated and realized by double_lambda; no cone is read.  A nontrivial
+    irreducible cover has more parts than its multiplicity (l > k), so any
+    cone vector shifted by eps > 0 is strictly inside.  A witness outside
+    the cone gets no body at any lambda and ends in InconclusiveError.  The
+    violation is re-verified on exact projection volumes, so a body returned
+    is a proof.
     """
-    report = membership(system, witness)
-    if not report.inside:
-        raise ValueError("witness is not in the cone")
     value = ineq.evaluate(witness)
     if value >= 0:
         raise ValueError("witness does not violate the inequality")
@@ -187,7 +180,7 @@ def violating_body(
         shift_eps = min(Fraction(1), -value / (2 * coeff_sum))
     else:
         shift_eps = Fraction(1)
-    realization = find_lambda(witness.shift(shift_eps), shift_eps, system=system)
+    realization = double_lambda(witness.shift(shift_eps))
 
     scale = lcm(*(c.denominator for _, c in ineq.lhs + ineq.rhs)) if (ineq.lhs or ineq.rhs) else 1
     lhs_product = Fraction(1)

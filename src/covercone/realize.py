@@ -8,10 +8,10 @@ of a box living in Span(S), subtracts that box's projection volumes from the
 running targets, and finally places all boxes disjointly.  lambda is found by
 doubling; failure at the cap is inconclusive, never a non-realizability claim.
 
-find_lambda is the only function here that reads the cone: one membership
-test decides whether v is inside and whether it must be shifted to be
-strictly inside.  realize_vector trusts strictness; its final check of every
-log projection volume against lambda*v decides whether the body is right.
+find_lambda is still the only function here that reads the cone: one
+membership test decides whether v is inside and must be shifted to be
+strictly inside.  double_lambda and realize_vector trust strictness; the
+final check of every log projection volume against lambda*v is the arbiter.
 
 The step LP only searches product-form solutions, z_A = prod of sides over
 A.  That loses nothing: such a z meets every cover constraint of the step
@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from .boxgeom import Box, BoxUnionBody, disjoint_offset, projection_volume
-from .cone import ConeSystem, build_bt_system, membership
+from .cone import build_bt_system, membership
 from .core import (
     ProjectionVector,
     canonical_subset_order,
@@ -223,37 +223,37 @@ def realize_vector(v: ProjectionVector, lam) -> RealizationResult:
     return RealizationResult(lam, v, body, tuple(steps), report, max_gap)
 
 
-def find_lambda(
-    v: ProjectionVector,
-    eps: Fraction,
-    lambda_cap=DEFAULT_LAMBDA_CAP,
-    system: Optional[ConeSystem] = None,
-) -> RealizationResult:
-    """Shift v by eps if some generator is tight, then double lambda from 1.
+def find_lambda(v: ProjectionVector, eps: Fraction, lambda_cap=DEFAULT_LAMBDA_CAP) -> RealizationResult:
+    """Shift v by eps if some generator is tight, then realize it by double_lambda.
 
-    Decides membership in the cone of `system` (default:
-    build_bt_system(v.n)) with one membership test.  A nontrivial
-    irreducible cover with l parts and multiplicity k has l > k, so the
-    shift raises each margin by (l-k)*eps > 0 and leaves v strictly inside.
-    Returns the first success; raises ValueError unless eps > 0 and
-    lambda_cap >= 1, NotInConeError for vectors outside the cone, and
-    InconclusiveError at the cap (never a claim of non-realizability).
+    Decides membership in build_bt_system(v.n) with one membership test.  A
+    nontrivial irreducible cover with l parts and multiplicity k has l > k,
+    so the shift raises each margin by (l-k)*eps > 0 and leaves v strictly
+    inside.  Raises ValueError unless eps > 0, NotInConeError for vectors
+    outside the cone, and whatever double_lambda raises.
     """
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    lambda_cap = Fraction(lambda_cap)
-    if lambda_cap < 1:
-        raise ValueError("lambda_cap must be at least 1")
-    if system is None:
-        system = build_bt_system(v.n)
-    report = membership(system, v)
+    report = membership(build_bt_system(v.n), v)
     if not report.inside:
         raise NotInConeError(
             f"vector violates {len(report.violated)} generator(s), e.g. "
             + report.violated[0].format_text()
         )
-    w = v.shift(eps) if report.tight else v
+    return double_lambda(v.shift(eps) if report.tight else v, lambda_cap)
+
+
+def double_lambda(w: ProjectionVector, lambda_cap=DEFAULT_LAMBDA_CAP) -> RealizationResult:
+    """realize_vector(w, lam) at the first lam = 1, 2, 4, ... <= lambda_cap that works.
+
+    Like realize_vector it assumes, unchecked, that w is strictly inside the
+    cone; a w outside gets no body at any lam.  Raises ValueError unless
+    lambda_cap >= 1, and InconclusiveError (never a non-realizability claim).
+    """
+    lambda_cap = Fraction(lambda_cap)
+    if lambda_cap < 1:
+        raise ValueError("lambda_cap must be at least 1")
     lam = Fraction(1)
     last: Optional[BoxSystemInfeasible] = None
     while lam <= lambda_cap:

@@ -128,7 +128,7 @@ def test_criterion_4_farkas_soundness():
     assert isinstance(result, SeparatingWitness)
     assert membership(system, result.vector).inside
     assert guess.evaluate(result.vector) == -1
-    body_report = violating_body(system, guess, result.vector)
+    body_report = violating_body(guess, result.vector)
     assert body_report.violated
     assert body_report.realization.lam == 8
     lhs = F(1)

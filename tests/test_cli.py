@@ -299,8 +299,10 @@ class TestUsageErrors:
         [(["imply", "--inequality", "in.json", "--kmax", "2", "--emit-body", "b.json"],
           "in.json", LW4),
          (["realize", "--vector", "in.json", "--out", "b.json"],
-          "in.json", '{"n":1,"entries":{"1":"10000000"}}')],
-        ids=["emit-body-inconclusive", "exp-overflow"],
+          "in.json", '{"n":1,"entries":{"1":"10000000"}}'),
+         (["realize", "--vector", "in.json", "--out", "b.json"],
+          "in.json", '{"n":1,"entries":{"1":"-10000000"}}')],
+        ids=["emit-body-inconclusive", "exp-overflow", "exp-underflow"],
     )
     def test_gives_up_with_one_error_line(self, tmp_path, argv, name, text):
         env = dict(os.environ, PYTHONPATH=str(Path(covercone.__file__).parent.parent))
@@ -309,6 +311,32 @@ class TestUsageErrors:
                               capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 3
         assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv, stdout_closed, code", [
+        (["member", "--vector", "."], False, 2),
+        (["realize", "--vector", "v.json", "--out", "nodir/b.json"], False, 3),
+        (["system", "--n", "2"], True, 3),
+    ], ids=["directory-input", "missing-output-dir", "closed-stdout"])
+    def test_io_failure_is_one_error_line(self, tmp_path, argv, stdout_closed, code):
+        env = dict(os.environ, PYTHONPATH=str(Path(covercone.__file__).parent.parent))
+        env.pop("PYTHONUNBUFFERED", None)  # buffered output is still pending at exit
+        write(tmp_path, "v.json", ONES2)
+        read_end, write_end = os.pipe()
+        if stdout_closed:  # closed before the child starts, so every write fails
+            os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "covercone", *argv], cwd=tmp_path,
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                  env=env, timeout=30)
+        finally:
+            os.close(write_end)
+        if not stdout_closed:
+            with os.fdopen(read_end) as fh:
+                assert fh.read() == ""
+        assert proc.returncode == code
         assert proc.stderr.startswith("error: ")
         assert proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr

@@ -116,6 +116,11 @@ class TestLogExp:
     def test_log_exp_round_trip(self, x):
         assert abs(log_fraction(exp_fraction(x)) - x) < Fraction(1, 10**24)
 
+    @pytest.mark.parametrize("x", [Fraction(10**7), Fraction(-10**7)], ids=["overflow", "underflow"])
+    def test_exp_out_of_range_raises(self, x):
+        with pytest.raises(RuntimeError, match="exponent range"):
+            exp_fraction(x)
+
     def test_log_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             log_fraction(Fraction(0))
@@ -188,7 +193,3 @@ class TestVectorFiles:
         v = ProjectionVector.from_entries(2, {0b01: Fraction(1)})
         assert v.shift(Fraction(1, 2))[0b10] == Fraction(1, 2)
         assert v.scale(Fraction(3))[0b01] == 3
-        w = v.embed(3)
-        assert w.n == 3 and w[0b01] == 1 and w[0b100] == 0
-        with pytest.raises(ValueError):
-            w.embed(2)

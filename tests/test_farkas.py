@@ -139,13 +139,13 @@ class TestViolatingBody:
         system = build_bt_system(4)
         witness = check_implication(system, GUESS)
         assert isinstance(witness, SeparatingWitness)
-        report = violating_body(system, GUESS, witness.vector)
+        report = violating_body(GUESS, witness.vector)
         assert report.violated
 
     def test_guess_refuted_by_body(self):
         system = build_bt_system(4)
         witness = check_implication(system, GUESS)
-        report = violating_body(system, GUESS, witness.vector)
+        report = violating_body(GUESS, witness.vector)
         assert report.violated
         assert report.lhs_product < report.rhs_product
         # recompute the exact products independently of the report
@@ -160,7 +160,7 @@ class TestViolatingBody:
 
     def test_guess_body_pinned(self):
         system = build_bt_system(4)
-        report = violating_body(system, GUESS, check_implication(system, GUESS).vector)
+        report = violating_body(GUESS, check_implication(system, GUESS).vector)
         assert report.realization.lam == 8
         digest = hashlib.sha256(write_body(report.body).encode()).hexdigest()
         assert digest == "aa9dae8f190d4d1c190b7253d50d06bf70cf2c294e23b82bdd83a77f59a61e83"
@@ -169,31 +169,39 @@ class TestViolatingBody:
         system = build_bt_system(2)
         ineq = LinearInequality.from_maps(2, {0b11: F(1)}, {0b01: F(1), 0b10: F(1)})
         witness = check_implication(system, ineq)
-        report = violating_body(system, ineq, witness.vector)
+        report = violating_body(ineq, witness.vector)
         assert report.violated
         vol = lambda m: projection_volume(report.body, m)
         assert vol(0b11) < vol(0b01) * vol(0b10)
 
-    def test_realizes_against_the_given_system(self, monkeypatch):
-        from covercone import realize
+    def test_reads_the_cone_once(self, monkeypatch):
+        """The witness self-check of check_implication is the only cone read:
+        one margin per generator, and realization builds no cone."""
+        from covercone import cone, realize
 
-        system = build_bt_system(3)
-        ineq = LinearInequality.from_maps(3, {0b111: F(1)}, {0b011: F(1), 0b100: F(1)})
-        witness = check_implication(system, ineq)
+        system = build_bt_system(4)
+        calls = {"margin": 0}
+        margin = cone.CoverInequality.margin
+
+        def counting(self, v):
+            calls["margin"] += 1
+            return margin(self, v)
 
         def refuse(*args, **kwargs):
             raise AssertionError(f"build_bt_system{args} called")
 
+        monkeypatch.setattr(cone.CoverInequality, "margin", counting)
         monkeypatch.setattr(realize, "build_bt_system", refuse)
-        assert violating_body(system, ineq, witness.vector).violated
+        witness = check_implication(system, GUESS)
+        assert violating_body(GUESS, witness.vector).violated
+        assert calls["margin"] == len(system.generators) == 67
 
     def test_rejects_non_violating_witness(self):
         from covercone.core import ProjectionVector
 
-        system = build_bt_system(2)
         ineq = LinearInequality.from_maps(2, {0b11: F(1)}, {0b01: F(1), 0b10: F(1)})
         with pytest.raises(ValueError):
-            violating_body(system, ineq, ProjectionVector.zero(2))
+            violating_body(ineq, ProjectionVector.zero(2))
 
 
 class TestInequalityFiles:
