@@ -14,7 +14,6 @@ from .boxgeom import (
     log_projection_vector,
     projection_volume,
     read_body,
-    thicken,
     write_body,
 )
 from .cone import (

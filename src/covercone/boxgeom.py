@@ -136,21 +136,6 @@ def log_projection_vector(body: BoxUnionBody) -> ProjectionProfile:
     return ProjectionProfile(body.n, volumes, logs)
 
 
-def thicken(body: BoxUnionBody, eps: Fraction) -> BoxUnionBody:
-    """Add one full-dimensional eps-cube beyond the body's coordinate range.
-
-    Placed past the global maximum on every axis, its projections are
-    disjoint from all existing ones, so every projection volume grows by
-    exactly eps^{|A|} and becomes strictly positive.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    top = max(hi for box in body.boxes for _, hi in box.intervals)
-    base = top + 1
-    cube = Box(tuple((base, base + eps) for _ in range(body.n)))
-    return BoxUnionBody(body.n, body.boxes + (cube,))
-
-
 def disjoint_offset(boxes: Sequence[Box]) -> BoxUnionBody:
     """Translate each box along the diagonal so all coordinate intervals are
     pairwise disjoint; projections onto every subspace are then disjoint and
@@ -172,16 +157,6 @@ def disjoint_offset(boxes: Sequence[Box]) -> BoxUnionBody:
         hi_max = max(hi for _, hi in shifted.intervals)
         top = hi_max if top is None else max(top, hi_max)
     return BoxUnionBody(n, tuple(out))
-
-
-def axiswise_disjoint(body: BoxUnionBody) -> bool:
-    """True when on every axis the boxes' intervals are pairwise disjoint."""
-    for axis in range(body.n):
-        spans = sorted(box.intervals[axis] for box in body.boxes)
-        for (_, hi), (lo, _) in zip(spans, spans[1:]):
-            if hi >= lo:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +187,8 @@ def read_body(text: str) -> BoxUnionBody:
         raise FormatError("'boxes' must be a nonempty list")
     boxes = []
     for entry in data["boxes"]:
-        if not isinstance(entry, dict) or "intervals" not in entry:
-            raise FormatError("each box must be an object with 'intervals'")
+        if not isinstance(entry, dict) or list(entry) != ["intervals"]:
+            raise FormatError("each box must be an object with the one field 'intervals'")
         iv = entry["intervals"]
         if not isinstance(iv, list) or len(iv) != n:
             raise FormatError(f"each box needs exactly {n} intervals")

@@ -161,7 +161,7 @@ def cmd_project(args) -> int:
             "zero_projections": [
                 format_subset(m) for m, v in profile.volumes.items() if v == 0
             ],
-            "detail": "some projection has measure zero; thicken the body first",
+            "detail": "some projection has measure zero, so its log is undefined",
         })
         return 1
     vector = profile.to_projection_vector()

@@ -8,10 +8,10 @@ converted back to exact rationals, so no binary floating point enters any
 computation.
 
 This module also owns the envelope of every JSON artifact file: strict
-JSON without duplicate keys, a top-level object with the required fields,
-``n`` a plain integer in 1..MAX_DIMENSION, and subsets and rationals given
-as strings.  The readers of the other modules go through ``load_object``,
-``read_subset_map``, ``parse_subset`` and ``parse_rational``.
+JSON without duplicate keys, a top-level object with the format's fields
+and no others, ``n`` a plain integer in 1..MAX_DIMENSION, and subsets and
+rationals given as strings.  The readers of the other modules go through
+``load_object``, ``read_subset_map``, ``parse_subset`` and ``parse_rational``.
 """
 
 from __future__ import annotations
@@ -218,18 +218,25 @@ def _unique_keys(pairs) -> dict:
 
 
 def load_object(text: str, what: str, *fields: str) -> dict:
-    """Parse an artifact file: a JSON object holding every one of `fields`.
+    """Parse an artifact file: a JSON object holding exactly the given `fields`.
 
-    Malformed, too deeply nested or duplicate-key JSON raises FormatError,
-    and so does an 'n' field (when listed) that is not an int in
-    1..MAX_DIMENSION.
+    A field named with a trailing '?' may be left out; the key is the name
+    without it.  Malformed, too deeply nested or duplicate-key JSON raises
+    FormatError, and so do a missing required field, a field not listed and
+    an 'n' field (when listed) that is not an int in 1..MAX_DIMENSION.
     """
     try:
         data = json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:  # FormatError from the hook included
         raise FormatError(f"invalid JSON: {exc}") from None
-    if not isinstance(data, dict) or not all(field in data for field in fields):
-        raise FormatError(f"{what} file must be an object with fields " + ", ".join(map(repr, fields)))
+    required = [field for field in fields if not field.endswith("?")]
+    if not isinstance(data, dict) or not all(field in data for field in required):
+        raise FormatError(f"{what} file must be an object with fields " + ", ".join(map(repr, required)))
+    known = [field.rstrip("?") for field in fields]
+    unknown = [key for key in data if key not in known]
+    if unknown:
+        raise FormatError(f"{what} file has unknown field {unknown[0]!r}; its fields are "
+                          + ", ".join(map(repr, known)))
     if "n" in fields and (type(data["n"]) is not int or not 1 <= data["n"] <= MAX_DIMENSION):
         raise FormatError(f"'n' must be an integer in 1..{MAX_DIMENSION}")
     return data
@@ -248,7 +255,7 @@ def read_subset_map(raw, n: int, name: str) -> dict[int, Fraction]:
 
 def read_vector(text: str) -> ProjectionVector:
     """Parse a vector file; missing subset keys default to 0."""
-    data = load_object(text, "vector", "n")
+    data = load_object(text, "vector", "n", "entries?")
     return ProjectionVector.from_entries(
         data["n"], read_subset_map(data.get("entries", {}), data["n"], "entries")
     )

@@ -201,7 +201,7 @@ def violating_body(ineq: LinearInequality, witness: ProjectionVector) -> Violati
 # file formats
 
 def read_inequality(text: str) -> LinearInequality:
-    data = load_object(text, "inequality", "n")
+    data = load_object(text, "inequality", "n", "lhs?", "rhs?")
     lhs, rhs = (read_subset_map(data.get(name, {}), data["n"], name) for name in ("lhs", "rhs"))
     if any(c < 0 for side in (lhs, rhs) for c in side.values()):
         raise FormatError("coefficients must be nonnegative")

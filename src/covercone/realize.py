@@ -8,6 +8,12 @@ of a box living in Span(S), subtracts that box's projection volumes from the
 running targets, and finally places all boxes disjointly.  lambda is found by
 doubling; failure at the cap is inconclusive, never a non-realizability claim.
 
+Each step LP is one solve_equality_lp call in log space.  Its columns are
+the |S| log sides in element order, the largest side t, and one slack per
+inequality row; its rows are a cap for each proper subset of S in (size,
+mask) order, the equality fixing the sum of all sides, and |S| rows
+side - t <= 0; its cost is t.
+
 find_lambda is still the only function here that reads the cone: one
 membership test decides whether v is inside and must be shifted to be
 strictly inside.  double_lambda and realize_vector trust strictness; the
@@ -42,7 +48,7 @@ from .core import (
     log_fraction,
     subsets_of,
 )
-from .simplex import EQ, LE, INFEASIBLE, OPTIMAL, LinearProgramBuilder
+from .simplex import INFEASIBLE, OPTIMAL, solve_equality_lp
 
 DEFAULT_LAMBDA_CAP = 1024
 DEFAULT_TOLERANCE = Fraction(1, 10**6)
@@ -110,8 +116,16 @@ def solve_box_system(ground: int, y: Mapping[int, Fraction]) -> BoxSystem:
     prod of all sides = y_ground.  Such a z meets (ii) and (iii) with
     equality, since each element lies in k parts of a k-uniform cover, so
     the system is feasible exactly when some sides satisfy (i) with that
-    product.  One LP over the |ground| log sides finds them; it minimizes the
-    largest side, which makes symmetric inputs yield symmetric sides.
+    product.  One LP over the m = |ground| log sides finds them; it minimizes
+    the largest side t, which makes symmetric inputs yield symmetric sides.
+    It is one solve_equality_lp call over log values, each side (and t)
+    shifted up by `big` so that x >= 0:
+      columns  the m log sides in element order, t, then one slack per
+               inequality row in row order
+      rows     sum of the sides in A + slack = log y_A, for each proper
+               subset A in (size, mask) order; sum of all sides = log y_ground;
+               side_i - t + slack = 0, for each of the m sides
+      cost     1 on t, 0 everywhere else
     Raises BoxSystemInfeasible when no such sides exist.
     """
     members = sorted(subsets_of(ground), key=lambda m: (m.bit_count(), m))
@@ -121,7 +135,6 @@ def solve_box_system(ground: int, y: Mapping[int, Fraction]) -> BoxSystem:
         if y[a] <= 0:
             raise BoxSystemInfeasible(ground, f"target for {{{format_subset(a)}}} is not positive")
     m = ground.bit_count()
-    singles = [1 << (e - 1) for e in elements(ground)]
     if m == 1:
         vol = Fraction(y[ground])
         return BoxSystem(ground, {ground: vol}, {elements(ground)[0]: vol})
@@ -130,24 +143,31 @@ def solve_box_system(ground: int, y: Mapping[int, Fraction]) -> BoxSystem:
     # log sides are shifted by `big` so they are nonnegative LP variables;
     # the shift provably never binds
     big = 2 * max(abs(e) for e in eta.values()) + 4
-    lp = LinearProgramBuilder()
-    for a in members:
-        if a == ground:
-            continue
-        coeffs = {s: Fraction(1) for s in singles if a & s}
-        lp.add(coeffs, LE, eta[a] + a.bit_count() * big)
-    lp.add({s: Fraction(1) for s in singles}, EQ, eta[ground] + m * big)
-    for s in singles:
-        lp.add({s: Fraction(1), "t": Fraction(-1)}, LE, Fraction(0))
-    lp.minimize({"t": 1})
-    status, values, _ = lp.solve()
-    if status == INFEASIBLE:
+    caps = members[:-1]  # the proper subsets; the ground sorts last
+    zero, one = Fraction(0), Fraction(1)
+    width = 2 * m + 1 + len(caps)
+    rows: list[list[Fraction]] = []
+    rhs: list[Fraction] = []
+    for i, a in enumerate(members):
+        row = [one if a >> (e - 1) & 1 else zero for e in elements(ground)]
+        row += [zero] * (width - m)
+        if a != ground:
+            row[m + 1 + i] = one
+        rows.append(row)
+        rhs.append(eta[a] + a.bit_count() * big)
+    for j in range(m):
+        row = [zero] * width
+        row[j], row[m], row[m + 1 + len(caps) + j] = one, -one, one
+        rows.append(row)
+        rhs.append(zero)
+    cost = [zero] * width
+    cost[m] = one
+    res = solve_equality_lp(rows, rhs, cost)
+    if res.status == INFEASIBLE:
         raise BoxSystemInfeasible(ground)
-    if status != OPTIMAL:
-        raise RuntimeError(f"step LP unexpectedly {status}")
-    zeta = {s: values[s] - big for s in singles}
-
-    sides = {e: exp_fraction(zeta[1 << (e - 1)]) for e in elements(ground)}
+    if res.status != OPTIMAL:
+        raise RuntimeError(f"step LP unexpectedly {res.status}")
+    sides = {e: exp_fraction(res.x[i] - big) for i, e in enumerate(elements(ground))}
     # exact consumption: rescale one side so the ground product equals y_ground
     last = elements(ground)[-1]
     prod = Fraction(1)

@@ -174,63 +174,3 @@ def _pivot(tab, zrow, basis, r: int, j: int) -> None:
         zrow[j] = _ZERO
     basis[r] = j
 
-
-# ---------------------------------------------------------------------------
-# small builder for inequality systems over named nonnegative variables
-
-LE, GE, EQ = "<=", ">=", "=="
-
-
-class LinearProgramBuilder:
-    """Named nonnegative variables with <=/>=/== constraints.
-
-    Slack variables are added internally; solve() maps the optimum back to
-    the variable names.
-    """
-
-    def __init__(self) -> None:
-        self._vars: dict[object, int] = {}
-        self._constraints: list[tuple[dict[int, Fraction], str, Fraction]] = []
-        self._objective: dict[int, Fraction] = {}
-
-    def variable(self, key) -> int:
-        if key not in self._vars:
-            self._vars[key] = len(self._vars)
-        return self._vars[key]
-
-    def add(self, coeffs: dict, sense: str, rhs: Fraction) -> None:
-        if sense not in (LE, GE, EQ):
-            raise ValueError(f"bad sense {sense!r}")
-        indexed = {self.variable(k): Fraction(v) for k, v in coeffs.items() if v != 0}
-        self._constraints.append((indexed, sense, Fraction(rhs)))
-
-    def minimize(self, coeffs: dict) -> None:
-        self._objective = {self.variable(k): Fraction(v) for k, v in coeffs.items()}
-
-    def solve(self) -> tuple[str, Optional[dict], Optional[Fraction]]:
-        nvars = len(self._vars)
-        nslack = sum(1 for _, sense, _ in self._constraints if sense != EQ)
-        total = nvars + nslack
-        rows: list[list[Fraction]] = []
-        rhs: list[Fraction] = []
-        slack_at = nvars
-        for coeffs, sense, b in self._constraints:
-            row = [_ZERO] * total
-            for idx, v in coeffs.items():
-                row[idx] = v
-            if sense == LE:
-                row[slack_at] = _ONE
-                slack_at += 1
-            elif sense == GE:
-                row[slack_at] = -_ONE
-                slack_at += 1
-            rows.append(row)
-            rhs.append(b)
-        cost = [_ZERO] * total
-        for idx, v in self._objective.items():
-            cost[idx] = v
-        res = solve_equality_lp(rows, rhs, cost)
-        if res.status != OPTIMAL:
-            return res.status, None, None
-        values = {key: res.x[idx] for key, idx in self._vars.items()}
-        return OPTIMAL, values, res.objective

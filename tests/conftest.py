@@ -107,6 +107,34 @@ def oracle_irreducible_covers(ground: int, k_max: int) -> set:
 
 
 # ---------------------------------------------------------------------------
+# body helpers
+
+def thicken(body: BoxUnionBody, eps: Fraction) -> BoxUnionBody:
+    """Add one full-dimensional eps-cube beyond the body's coordinate range.
+
+    Placed past the global maximum on every axis, its projections are
+    disjoint from all existing ones, so every projection volume grows by
+    exactly eps^{|A|} and becomes strictly positive.
+    """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    top = max(hi for box in body.boxes for _, hi in box.intervals)
+    base = top + 1
+    cube = Box(tuple((base, base + eps) for _ in range(body.n)))
+    return BoxUnionBody(body.n, body.boxes + (cube,))
+
+
+def axiswise_disjoint(body: BoxUnionBody) -> bool:
+    """True when on every axis the boxes' intervals are pairwise disjoint."""
+    for axis in range(body.n):
+        spans = sorted(box.intervals[axis] for box in body.boxes)
+        for (_, hi), (lo, _) in zip(spans, spans[1:]):
+            if hi >= lo:
+                return False
+    return True
+
+
+# ---------------------------------------------------------------------------
 # samplers
 
 def random_box(rng, n: int, denom: int = 8, hi: int = 16, degenerate_prob: float = 0.15) -> Box:

@@ -11,8 +11,8 @@ import sys
 import time
 from fractions import Fraction as F
 
-from conftest import oracle_irreducible_covers, random_body, sample_bt3_vector
-from covercone.boxgeom import projection_volume, thicken
+from conftest import oracle_irreducible_covers, random_body, sample_bt3_vector, thicken
+from covercone.boxgeom import projection_volume
 from covercone.cone import build_bt_system, membership
 from covercone.core import (
     ProjectionVector,

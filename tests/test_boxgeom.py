@@ -4,16 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import inclusion_exclusion_volume, random_body
+from conftest import axiswise_disjoint, inclusion_exclusion_volume, random_body, thicken
 from covercone.boxgeom import (
     Box,
     BoxUnionBody,
-    axiswise_disjoint,
     disjoint_offset,
     log_projection_vector,
     projection_volume,
     read_body,
-    thicken,
     write_body,
 )
 from covercone.core import FormatError, canonical_subset_order, log_fraction

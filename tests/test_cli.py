@@ -256,8 +256,10 @@ class TestUsageErrors:
         "argv, text",
         [(["project", "--body", "in.json", "--out", "out.json"],
           '{"n": 1, "boxes": [{"intervals": [[0, 1]]}]}'),
-         (["member", "--vector", "in.json"], "[" * 100000 + "]" * 100000)],
-        ids=["numeric-endpoint", "deep-nesting"],
+         (["member", "--vector", "in.json"], "[" * 100000 + "]" * 100000),
+         (["member", "--vector", "in.json"], '{"n": 2, "entires": {"1,2": "5"}}'),
+         (["imply", "--inequality", "in.json"], '{"n": 2, "lhs": {"1,2": "1"}, "rsh": {"1": "1"}}')],
+        ids=["numeric-endpoint", "deep-nesting", "misspelled-entries", "misspelled-rhs"],
     )
     def test_malformed_file_is_one_error_line(self, tmp_path, argv, text):
         env = dict(os.environ, PYTHONPATH=str(Path(covercone.__file__).parent.parent))

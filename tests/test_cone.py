@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_body, sample_bt3_vector
-from covercone.boxgeom import log_projection_vector, projection_volume, thicken
+from conftest import random_body, sample_bt3_vector, thicken
+from covercone.boxgeom import log_projection_vector, projection_volume
 from covercone.cone import ConeSystem, CoverInequality, build_bt_system, membership
 from covercone.core import ProjectionVector, canonical_subset_order
 from covercone.covers import UniformCover

@@ -4,7 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from covercone.boxgeom import axiswise_disjoint, projection_volume, write_body
+from conftest import axiswise_disjoint, random_body, thicken
+from covercone.boxgeom import projection_volume, write_body
 from covercone.cone import build_bt_system, membership
 from covercone.core import FormatError
 from covercone.farkas import (
@@ -122,9 +123,6 @@ class TestViolatingBody:
         # random bodies almost always satisfy the guess, so sampling is an
         # unreliable refuter; the witness route constructs one on demand
         import random
-
-        from conftest import random_body
-        from covercone.boxgeom import thicken
 
         rng = random.Random(40)
         masks = (0b0011, 0b0110, 0b1100, 0b0111, 0b1110)

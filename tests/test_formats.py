@@ -145,6 +145,12 @@ REJECTED = {
     "vector-long-n": ("vector", '{"n": %s}' % LONG),
     "vector-deep-nesting": ("vector", DEEP),
     "cover-deep-nesting": ("cover", DEEP),
+    "vector-misspelled-entries": ("vector", '{"n": 2, "entires": {"1,2": "5"}}'),
+    "inequality-misspelled-rhs": ("inequality", '{"n": 2, "lhs": {"1,2": "1"}, "rsh": {"1": "1"}}'),
+    "body-box-extra-key": ("body", '{"n": 1, "boxes": [{"intervals": [["0", "1"]], "label": "a"}]}'),
+    "body-extra-field": ("body", '{"n": 1, "boxes": [{"intervals": [["0", "1"]]}], "box": []}'),
+    "family-extra-field": ("family", '{"n": 1, "members": ["1"], "memebrs": []}'),
+    "cover-extra-field": ("cover", '{"ground": "1", "k": 1, "parts": ["1"], "weight": "2"}'),
 }
 
 

@@ -4,9 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import sample_bt3_vector
+from conftest import axiswise_disjoint, sample_bt3_vector
 from covercone import cone, realize
-from covercone.boxgeom import axiswise_disjoint, projection_volume, write_body
+from covercone.boxgeom import projection_volume, write_body
 from covercone.cone import build_bt_system, membership
 from covercone.core import (
     ProjectionVector,
@@ -25,7 +25,8 @@ from covercone.realize import (
     realize_vector,
     solve_box_system,
 )
-from covercone.simplex import GE, INFEASIBLE, LE, OPTIMAL, LinearProgramBuilder
+from covercone.simplex import INFEASIBLE, OPTIMAL, solve_equality_lp
+from covercone.witness import theorem9_vector
 
 ONES2 = ProjectionVector.from_entries(2, {m: F(1) for m in range(1, 4)})
 TOL = F(1, 10**6)
@@ -51,31 +52,40 @@ def full_step_system(ground, y):
       (ii)  z_A <= prod of singleton z's     for |A| >= 2
       (iii) y_ground^k <= prod over parts z  for each irreducible cover
     Returns (status, log z, minimum).  Variables are shifted by `big` so they
-    are nonnegative; the shift never binds."""
+    are nonnegative; the shift never binds.  Every row is an inequality, so
+    each gets its own slack column, +1 for <= and -1 for >=."""
     members = sorted(subsets_of(ground), key=lambda m: (m.bit_count(), m))
     singles = [1 << (e - 1) for e in elements(ground)]
     eta = {a: log_fraction(F(y[a])) for a in members}
     big = 2 * max(abs(e) for e in eta.values()) + 4
-    lp = LinearProgramBuilder()
-    for a in members:
-        lp.add({a: 1}, LE, eta[a] + big)
+    # (coefficients by subset, slack sign, right-hand side), one per row
+    constraints = [({a: 1}, 1, eta[a] + big) for a in members]
     for a in members:
         if a.bit_count() >= 2:
-            coeffs = {a: F(1)}
+            coeffs = {a: 1}
             for s in singles:
                 if a & s:
-                    coeffs[s] = F(-1)
-            lp.add(coeffs, LE, (1 - a.bit_count()) * big)
+                    coeffs[s] = -1
+            constraints.append((coeffs, 1, (1 - a.bit_count()) * big))
     for cover in irreducible_covers(ground):
         coeffs = {}
         for part in cover.parts:
             coeffs[part] = coeffs.get(part, 0) + 1
-        lp.add(coeffs, GE, cover.k * eta[ground] + len(cover.parts) * big)
-    lp.minimize({a: 1 for a in members})
-    status, values, objective = lp.solve()
-    if status != OPTIMAL:
-        return status, None, None
-    return status, {a: values[a] - big for a in members}, objective - len(members) * big
+        constraints.append((coeffs, -1, cover.k * eta[ground] + len(cover.parts) * big))
+    col = {a: j for j, a in enumerate(members)}
+    width = len(members) + len(constraints)
+    rows = []
+    for i, (coeffs, sign, _) in enumerate(constraints):
+        row = [F(0)] * width
+        for a, c in coeffs.items():
+            row[col[a]] = F(c)
+        row[len(members) + i] = F(sign)
+        rows.append(row)
+    cost = [F(1)] * len(members) + [F(0)] * len(constraints)
+    res = solve_equality_lp(rows, [F(b) for _, _, b in constraints], cost)
+    if res.status != OPTIMAL:
+        return res.status, None, None
+    return res.status, {a: res.x[col[a]] - big for a in members}, res.objective - len(members) * big
 
 
 def assert_matches_full_system(ground, y, system):
@@ -110,8 +120,6 @@ class TestInteriorShift:
         assert g.margin(shifted) == 1  # 1 + 1 > 1
 
     def test_witness_vector_strict_after_shift(self):
-        from covercone.witness import theorem9_vector
-
         v = theorem9_vector(4)
         system = build_bt_system(4)
         assert membership(system, v).tight
@@ -193,12 +201,11 @@ class TestMinimalityOracle:
         agrees with the full step system and costs one LP when |ground| >= 2."""
         steps = []
         lp_solves = [0]
-        real_solve = LinearProgramBuilder.solve
         real_step = realize.solve_box_system
 
-        def counting_solve(builder):
+        def counting_solve(*args, **kwargs):
             lp_solves[0] += 1
-            return real_solve(builder)
+            return solve_equality_lp(*args, **kwargs)
 
         def spy(ground, y):
             before = lp_solves[0]
@@ -210,7 +217,7 @@ class TestMinimalityOracle:
             steps.append((ground, dict(y), system, lp_solves[0] - before))
             return system
 
-        monkeypatch.setattr(LinearProgramBuilder, "solve", counting_solve)
+        monkeypatch.setattr(realize, "solve_equality_lp", counting_solve)
         monkeypatch.setattr(realize, "solve_box_system", spy)
         rng = random.Random(41)
         for _ in range(4):
@@ -255,6 +262,25 @@ class TestRealizeVector:
     def test_rejects_nonpositive_lambda(self):
         with pytest.raises(ValueError):
             realize_vector(ONES2, 0)
+
+
+def modular_plus_one(weights):
+    """x_A = 1 + sum of weights over A: strict on every nontrivial generator."""
+    n = len(weights)
+    return ProjectionVector.from_entries(
+        n, {m: 1 + sum(w for i, w in enumerate(weights) if m >> i & 1) for m in range(1, 1 << n)}
+    )
+
+
+#: name -> (vector, shifted by find_lambda, lambda, sha256 of the body)
+PINNED_BODIES = {
+    # the theorem 9 vector is tight, so find_lambda shifts it
+    "theorem9": (theorem9_vector(4), True, 16,
+                 "b10ba516a343af73524d019ce776336fcc7a15f550bbc43eb751e0fb1c956539"),
+    # the shape of the benchmark's realize queries, realized as given
+    "modular_plus_one": (modular_plus_one((F(3, 4), F(-1, 2), F(1), F(-5, 4))), False, 4,
+                         "238f9e1c73ca17e033d0043e9c24120ef040cd40832c605857bf1b2192fcfc38"),
+}
 
 
 class TestFindLambda:
@@ -315,14 +341,14 @@ class TestFindLambda:
         # every margin evaluated belongs to those three membership tests
         assert calls["margin"] == len(build_bt_system(2).generators) + 2 * len(build_bt_system(3).generators)
 
-    def test_body_pinned(self):
-        """The theorem 9 vector at n = 4 is tight, so it is shifted; hash of its body."""
-        from covercone.witness import theorem9_vector
-
-        result = find_lambda(theorem9_vector(4), F(1, 4))
-        assert result.lam == 16
-        digest = hashlib.sha256(write_body(result.body).encode()).hexdigest()
-        assert digest == "b10ba516a343af73524d019ce776336fcc7a15f550bbc43eb751e0fb1c956539"
+    @pytest.mark.parametrize("name", sorted(PINNED_BODIES))
+    def test_body_pinned(self, name):
+        """Hash of the body find_lambda builds for each pinned n = 4 vector."""
+        v, shifted, lam, digest = PINNED_BODIES[name]
+        result = find_lambda(v, F(1, 4))
+        assert (result.target != v) == shifted
+        assert result.lam == lam
+        assert hashlib.sha256(write_body(result.body).encode()).hexdigest() == digest
 
     def test_outside_cone_rejected(self):
         v = ProjectionVector.from_entries(2, {0b11: F(1)})
