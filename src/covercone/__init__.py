@@ -18,7 +18,6 @@ from .boxgeom import (
 )
 from .cone import (
     ConeSystem,
-    CoverInequality,
     MembershipReport,
     build_bt_system,
     membership,

@@ -72,8 +72,8 @@ def cmd_member(args) -> int:
     _print({
         "n": v.n,
         "inside": report.inside,
-        "violated": [g.to_obj() for g in report.violated],
-        "tight": [g.to_obj() for g in report.tight],
+        "violated": _cover_objs(report.violated),
+        "tight": _cover_objs(report.tight),
     })
     return 0 if report.inside else 1
 
@@ -185,7 +185,7 @@ def cmd_witness(args) -> int:
         "n": args.n,
         "vector": json.loads(write_vector(v)),
         "in_cone": report.in_cone,
-        "tight": [g.to_obj() for g in report.tight],
+        "tight": _cover_objs(report.tight),
         "obstruction_lhs": format_rational(report.obstruction_lhs),
         "obstruction_rhs": format_rational(report.obstruction_rhs),
         "obstruction_holds": report.obstruction_holds,

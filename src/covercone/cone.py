@@ -4,7 +4,8 @@ Every nonempty Y subset [n] contributes one inequality per nontrivial
 irreducible uniform cover of Y:  sum_i x_{Y_i} >= k * x_Y.  Reducible covers
 add nothing (their inequalities are sums of irreducible ones) and the trivial
 cover [Y] is a tautology, so the generator list below is finite and complete
-for membership purposes.
+for membership purposes.  A generator is its UniformCover; `coefficients`,
+`margin` and `format_inequality` read it as that inequality.
 """
 
 from __future__ import annotations
@@ -15,71 +16,49 @@ from functools import lru_cache
 from typing import Optional
 
 from .core import ProjectionVector, canonical_subset_order, format_subset
-from .covers import UniformCover, cover_to_obj, irreducible_covers
+from .covers import UniformCover, irreducible_covers
 
 #: the default k <= |Y| system is proved complete up to here; n = 6 does not
 #: end in minutes and no complete generator list for it is known
 MAX_CONE_DIMENSION = 5
 
 
-class CoverInequality:
-    """sum over parts of x_{Y_i} >= k * x_Y, as an integer coefficient vector."""
+def coefficients(cover: UniformCover) -> dict[int, int]:
+    """mask -> c of sum_i x_{Y_i} - k * x_Y, netted, nonzero, in mask order."""
+    coeffs: dict[int, int] = {}
+    for part in cover.parts:
+        coeffs[part] = coeffs.get(part, 0) + 1
+    coeffs[cover.ground] = coeffs.get(cover.ground, 0) - cover.k
+    return {mask: c for mask, c in sorted(coeffs.items()) if c != 0}
 
-    __slots__ = ("cover", "_coeffs")
 
-    def __init__(self, cover: UniformCover):
-        self.cover = cover
-        coeffs: dict[int, int] = {}
-        for part in cover.parts:
-            coeffs[part] = coeffs.get(part, 0) + 1
-        coeffs[cover.ground] = coeffs.get(cover.ground, 0) - cover.k
-        self._coeffs = tuple(
-            (mask, c) for mask, c in sorted(coeffs.items()) if c != 0
-        )
+def margin(cover: UniformCover, v: ProjectionVector) -> Fraction:
+    """sum_i v_{Y_i} - k*v_Y; nonnegative iff the inequality holds at v."""
+    return sum((v[part] for part in cover.parts), Fraction(0)) - cover.k * v[cover.ground]
 
-    def coefficient_map(self) -> dict[int, int]:
-        return dict(self._coeffs)
 
-    def margin(self, v: ProjectionVector) -> Fraction:
-        """sum_i v_{Y_i} - k*v_Y; nonnegative iff the inequality holds at v."""
-        total = Fraction(0)
-        for mask, c in self._coeffs:
-            total += c * v[mask]
-        return total
-
-    def format_text(self) -> str:
-        lhs = " + ".join(f"{c}*{format_subset(m)}" for m, c in self._coeffs if c > 0)
-        return f"{lhs} >= {self.cover.k}*{format_subset(self.cover.ground)}"
-
-    def to_obj(self) -> dict:
-        return cover_to_obj(self.cover)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CoverInequality):
-            return NotImplemented
-        return self.cover == other.cover
-
-    def __hash__(self) -> int:
-        return hash(self.cover)
-
-    def __repr__(self) -> str:
-        return f"CoverInequality({self.format_text()})"
+def format_inequality(cover: UniformCover) -> str:
+    """e.g. `1*1 + 1*2 >= 1*1,2`; a ground that is also a part nets out."""
+    coeffs = coefficients(cover).items()
+    lhs = " + ".join(f"{c}*{format_subset(m)}" for m, c in coeffs if c > 0)
+    rhs = " + ".join(f"{-c}*{format_subset(m)}" for m, c in coeffs if c < 0)
+    return f"{lhs or 0} >= {rhs or 0}"
 
 
 @dataclass(frozen=True)
 class ConeSystem:
     n: int
-    generators: tuple[CoverInequality, ...]
+    generators: tuple[UniformCover, ...]
 
     def h_representation(self) -> str:
-        return "\n".join(g.format_text() for g in self.generators)
+        return "\n".join(map(format_inequality, self.generators))
 
 
 @dataclass(frozen=True)
 class MembershipReport:
     inside: bool
-    violated: tuple[CoverInequality, ...]
-    tight: tuple[CoverInequality, ...]
+    violated: tuple[UniformCover, ...]
+    tight: tuple[UniformCover, ...]
 
 
 @lru_cache(maxsize=None)
@@ -96,7 +75,7 @@ def build_bt_system(n: int, k_max: Optional[int] = None) -> ConeSystem:
     for ground in canonical_subset_order(n):
         for cover in irreducible_covers(ground, k_max):
             if not cover.trivial:
-                generators.append(CoverInequality(cover))
+                generators.append(cover)
     return ConeSystem(n, tuple(generators))
 
 
@@ -107,7 +86,7 @@ def membership(system: ConeSystem, v: ProjectionVector) -> MembershipReport:
     violated = []
     tight = []
     for g in system.generators:
-        m = g.margin(v)
+        m = margin(g, v)
         if m < 0:
             violated.append(g)
         elif m == 0:

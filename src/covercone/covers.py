@@ -15,7 +15,6 @@ avoiding the irreducible covers of multiplicity at most k//2.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -252,10 +251,6 @@ def irreducible_covers(ground: int, k_max: Optional[int] = None) -> list[Uniform
 
 # ---------------------------------------------------------------------------
 # cover file format
-
-def cover_to_json(cover: UniformCover) -> str:
-    return json.dumps(cover_to_obj(cover))
-
 
 def cover_to_obj(cover: UniformCover) -> dict:
     return {

@@ -18,7 +18,7 @@ from math import lcm
 from typing import Mapping, Union
 
 from .boxgeom import BoxUnionBody, projection_volume
-from .cone import ConeSystem, membership
+from .cone import ConeSystem, coefficients, membership
 from .core import (
     FormatError,
     ProjectionVector,
@@ -29,6 +29,7 @@ from .core import (
     load_object,
     read_subset_map,
 )
+from .covers import cover_to_obj
 from .realize import RealizationResult, double_lambda
 from .simplex import INFEASIBLE, OPTIMAL, solve_equality_lp
 
@@ -109,17 +110,18 @@ def check_implication(system: ConeSystem, ineq: LinearInequality) -> Union[Farka
     target = [Fraction(0)] * len(order)
     for mask, c in ineq.coefficient_map().items():
         target[index[mask]] = c
-    rows = [[Fraction(0)] * len(system.generators) for _ in order]
-    for j, g in enumerate(system.generators):
-        for mask, c in g.coefficient_map().items():
+    columns = [coefficients(g) for g in system.generators]
+    rows = [[Fraction(0)] * len(columns) for _ in order]
+    for j, column in enumerate(columns):
+        for mask, c in column.items():
             rows[index[mask]][j] = Fraction(c)
-    res = solve_equality_lp(rows, target, [Fraction(0)] * len(system.generators))
+    res = solve_equality_lp(rows, target, [Fraction(0)] * len(columns))
 
     if res.status == OPTIMAL:
         weights = {j: w for j, w in enumerate(res.x) if w != 0}
         recon = [Fraction(0)] * len(order)
         for j, w in weights.items():
-            for mask, c in system.generators[j].coefficient_map().items():
+            for mask, c in columns[j].items():
                 recon[index[mask]] += w * c
         if recon != target:
             raise RuntimeError("certificate failed exact reconstruction")
@@ -223,8 +225,7 @@ def certificate_to_obj(system: ConeSystem, cert: FarkasCertificate) -> list[dict
     """(ground, parts, k, weight) tuples in generator order."""
     out = []
     for j in sorted(cert.weights):
-        g = system.generators[j]
-        entry = g.to_obj()
+        entry = cover_to_obj(system.generators[j])
         entry["weight"] = format_rational(cert.weights[j])
         out.append(entry)
     return out

@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from .boxgeom import Box, BoxUnionBody, disjoint_offset, projection_volume
-from .cone import build_bt_system, membership
+from .cone import build_bt_system, format_inequality, membership
 from .core import (
     ProjectionVector,
     canonical_subset_order,
@@ -259,7 +259,7 @@ def find_lambda(v: ProjectionVector, eps: Fraction, lambda_cap=DEFAULT_LAMBDA_CA
     if not report.inside:
         raise NotInConeError(
             f"vector violates {len(report.violated)} generator(s), e.g. "
-            + report.violated[0].format_text()
+            + format_inequality(report.violated[0])
         )
     return double_lambda(v.shift(eps) if report.tight else v, lambda_cap)
 

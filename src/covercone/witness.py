@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cone import CoverInequality, build_bt_system, membership
+from .cone import build_bt_system, membership
 from .core import (
     FormatError,
     ProjectionVector,
@@ -24,6 +24,7 @@ from .core import (
     load_object,
     parse_subset,
 )
+from .covers import UniformCover
 
 _M12, _M13, _M24, _M123, _M234 = 0b0011, 0b0101, 0b1010, 0b0111, 0b1110
 
@@ -52,7 +53,7 @@ class SetFamily:
 class WitnessReport:
     vector: ProjectionVector
     in_cone: bool
-    tight: tuple[CoverInequality, ...]
+    tight: tuple[UniformCover, ...]
     obstruction_lhs: Fraction
     obstruction_rhs: Fraction
 

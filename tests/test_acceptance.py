@@ -13,7 +13,7 @@ from fractions import Fraction as F
 
 from conftest import oracle_irreducible_covers, random_body, sample_bt3_vector, thicken
 from covercone.boxgeom import projection_volume
-from covercone.cone import build_bt_system, membership
+from covercone.cone import build_bt_system, coefficients, format_inequality, membership
 from covercone.core import (
     ProjectionVector,
     canonical_subset_order,
@@ -79,9 +79,9 @@ def test_criterion_2_uniform_cover_property_suite():
         assert all(v > 0 for v in vols.values())
         for g in system.generators:
             lhs = F(1)
-            for part in g.cover.parts:
+            for part in g.parts:
                 lhs *= vols[part]
-            if lhs < vols[g.cover.ground] ** g.cover.k:
+            if lhs < vols[g.ground] ** g.k:
                 failures += 1
     assert failures == 0
     elapsed = time.perf_counter() - start
@@ -107,17 +107,17 @@ def test_criterion_4_farkas_soundness():
     start = time.perf_counter()
     system = build_bt_system(4)
     for j, g in enumerate(system.generators):
-        coeffs = g.coefficient_map()
+        coeffs = coefficients(g)
         ineq = LinearInequality.from_maps(
             4,
             {m: F(c) for m, c in coeffs.items() if c > 0},
             {m: F(-c) for m, c in coeffs.items() if c < 0},
         )
         result = check_implication(system, ineq)
-        assert isinstance(result, FarkasCertificate), g.format_text()
+        assert isinstance(result, FarkasCertificate), format_inequality(g)
         recon = {}
         for idx, w in result.weights.items():
-            for mask, c in system.generators[idx].coefficient_map().items():
+            for mask, c in coefficients(system.generators[idx]).items():
                 recon[mask] = recon.get(mask, F(0)) + w * c
         assert {m: c for m, c in recon.items() if c != 0} == coeffs
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shlex
@@ -39,6 +40,22 @@ LW4 = json.dumps(
     {"n": 4, "lhs": {"1,2,3": "1", "1,2,4": "1", "1,3,4": "1", "2,3,4": "1"},
      "rhs": {"1,2,3,4": "3"}}
 )
+# outside the n = 4 cone: violates five generators and is tight on eight
+OUTSIDE4 = '{"n":4,"entries":{"1":"1","2":"1","3":"1","4":"1","1,2":"3","2,3,4":"2"}}'
+
+
+@pytest.mark.parametrize("argv, code, digest", [
+    (["witness", "--n", "4"], 0, "f634cff90d389cdd7fbfe3a28af85cddd77b6c26ac394d4f935e02860554f24d"),
+    (["member", "--vector", "OUTSIDE4"], 1, "8712ba8992c2f12d65444ba2022bd3ca757bf4f02ba7e7f32bb50b5f05a61356"),
+    (["imply", "--inequality", "LW4"], 0, "c5757ef940dbe89abe5926de7112c2164141d7ac0923754b8481eb979b5c18a5"),
+], ids=["witness-n4", "member-outside", "imply-loomis-whitney"])
+def test_cover_output_pinned(capsys, tmp_path, argv, code, digest):
+    """stdout listing cover objects (tight, violated, certificate) is byte-stable."""
+    files = {"OUTSIDE4": OUTSIDE4, "LW4": LW4}
+    argv = [write(tmp_path, f"{a}.json", files[a]) if a in files else a for a in argv]
+    got, out, _ = run(capsys, *argv)
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestWitnessCommand:
@@ -82,7 +99,7 @@ class TestMemberCommand:
         assert data["inside"] is False
         assert data["violated"] == [{"ground": "1,2", "k": 1, "parts": ["1", "2"]}]
 
-    def test_embed_flag(self, capsys, tmp_path):
+    def test_n3_vector_inside(self, capsys, tmp_path):
         path = write(tmp_path, "v.json", '{"n":3,"entries":{"1":"1","2":"1","1,2":"1"}}')
         code, out, _ = run(capsys, "member", "--vector", path)
         assert code == 0

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import random_body, sample_bt3_vector, thicken
 from covercone.boxgeom import log_projection_vector, projection_volume
-from covercone.cone import ConeSystem, CoverInequality, build_bt_system, membership
+from covercone.cone import ConeSystem, build_bt_system, coefficients, format_inequality, membership
 from covercone.core import ProjectionVector, canonical_subset_order
 from covercone.covers import UniformCover
 
@@ -18,17 +18,23 @@ class TestBuildSystem:
     def test_n2_single_generator(self):
         system = build_bt_system(2)
         assert len(system.generators) == 1
-        assert system.generators[0].format_text() == "1*1 + 1*2 >= 1*1,2"
+        assert format_inequality(system.generators[0]) == "1*1 + 1*2 >= 1*1,2"
+
+    def test_format_nets_a_ground_that_is_a_part(self):
+        # x_1 + x_2 + x_12 >= 2 x_12 reads x_1 + x_2 >= x_12
+        reducible = UniformCover.from_parts(0b11, [0b01, 0b10, 0b11])
+        assert coefficients(reducible) == {0b01: 1, 0b10: 1, 0b11: -1}
+        assert format_inequality(reducible) == "1*1 + 1*2 >= 1*1,2"
 
     def test_n3_contains_two_uniform_triangle(self):
         system = build_bt_system(3)
-        triangle = CoverInequality(UniformCover.from_parts(0b111, [0b011, 0b101, 0b110]))
+        triangle = UniformCover.from_parts(0b111, [0b011, 0b101, 0b110])
         assert triangle in system.generators
         assert len(system.generators) == 8
 
     def test_no_trivial_generators(self):
         for g in build_bt_system(3).generators:
-            assert not g.cover.trivial
+            assert not g.trivial
 
     def test_generator_counts_n4(self):
         # 6 pair grounds * 1 + 4 triple grounds * 5 + (15-1 + 22 + 5) on [4]
@@ -84,7 +90,7 @@ class TestMembership:
 
     def test_redundant_generator_never_changes_verdict(self):
         system = build_bt_system(2)
-        reducible = CoverInequality(UniformCover.from_parts(0b11, [0b01, 0b10, 0b11]))
+        reducible = UniformCover.from_parts(0b11, [0b01, 0b10, 0b11])
         extended = ConeSystem(2, system.generators + (reducible,))
         rng = random.Random(5)
         for _ in range(50):
@@ -105,9 +111,9 @@ class TestUniformCoverTheorem:
             assert all(v > 0 for v in vols.values())
             for g in system.generators:
                 lhs = Fraction(1)
-                for part in g.cover.parts:
+                for part in g.parts:
                     lhs *= vols[part]
-                assert lhs >= vols[g.cover.ground] ** g.cover.k
+                assert lhs >= vols[g.ground] ** g.k
 
     def test_log_vector_membership(self):
         rng = random.Random(202)
@@ -117,7 +123,7 @@ class TestUniformCoverTheorem:
             body = thicken(random_body(rng, 3, 3), Fraction(1, 64))
             vols = {m: projection_volume(body, m) for m in canonical_subset_order(3)}
             strict = all(
-                _product(vols, g) > vols[g.cover.ground] ** g.cover.k
+                _product(vols, g) > vols[g.ground] ** g.k
                 for g in system.generators
             )
             if not strict:
@@ -130,6 +136,6 @@ class TestUniformCoverTheorem:
 
 def _product(vols, g):
     out = Fraction(1)
-    for part in g.cover.parts:
+    for part in g.parts:
         out *= vols[part]
     return out

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from conftest import oracle_all_covers, oracle_irreducible_covers
@@ -5,7 +7,7 @@ from covercone.covers import (
     ResourceLimitError,
     UniformCover,
     cover_from_json,
-    cover_to_json,
+    cover_to_obj,
     decompose,
     enumerate_covers,
     irreducible_covers,
@@ -172,13 +174,11 @@ class TestCoverValidation:
 class TestCoverFiles:
     def test_round_trip(self):
         c = cover(0b111, 0b011, 0b101, 0b110, k=2)
-        again = cover_from_json(cover_to_json(c))
+        again = cover_from_json(json.dumps(cover_to_obj(c)))
         assert again == c
 
     def test_example_shape(self):
-        import json
-
-        obj = json.loads(cover_to_json(cover(0b111, 0b011, 0b101, 0b110)))
+        obj = cover_to_obj(cover(0b111, 0b011, 0b101, 0b110))
         assert obj == {"ground": "1,2,3", "k": 2, "parts": ["1,2", "1,3", "2,3"]}
 
     def test_rejects_wrong_k(self):

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import axiswise_disjoint, random_body, thicken
 from covercone.boxgeom import projection_volume, write_body
-from covercone.cone import build_bt_system, membership
+from covercone.cone import build_bt_system, coefficients, membership
 from covercone.core import FormatError
 from covercone.farkas import (
     FarkasCertificate,
@@ -27,7 +27,7 @@ GUESS = LinearInequality.from_maps(
 def reconstruct(system, cert):
     total = {}
     for j, w in cert.weights.items():
-        for mask, c in system.generators[j].coefficient_map().items():
+        for mask, c in coefficients(system.generators[j]).items():
             total[mask] = total.get(mask, F(0)) + w * c
     return {m: c for m, c in total.items() if c != 0}
 
@@ -62,7 +62,7 @@ class TestCheckImplication:
         result = check_implication(system, ineq)
         assert isinstance(result, FarkasCertificate)
         assert reconstruct(system, result) == ineq.coefficient_map()
-        used = {system.generators[j].cover.parts: w for j, w in result.weights.items()}
+        used = {system.generators[j].parts: w for j, w in result.weights.items()}
         assert used == {(0b001, 0b110): F(1), (0b010, 0b101): F(1)}
 
     def test_generator_certifies_itself(self):
@@ -75,7 +75,7 @@ class TestCheckImplication:
     def test_every_bt3_generator_certified(self):
         system = build_bt_system(3)
         for g in system.generators:
-            coeffs = g.coefficient_map()
+            coeffs = coefficients(g)
             ineq = LinearInequality.from_maps(
                 3,
                 {m: F(c) for m, c in coeffs.items() if c > 0},
@@ -179,16 +179,16 @@ class TestViolatingBody:
 
         system = build_bt_system(4)
         calls = {"margin": 0}
-        margin = cone.CoverInequality.margin
+        margin = cone.margin
 
-        def counting(self, v):
+        def counting(cover, v):
             calls["margin"] += 1
-            return margin(self, v)
+            return margin(cover, v)
 
         def refuse(*args, **kwargs):
             raise AssertionError(f"build_bt_system{args} called")
 
-        monkeypatch.setattr(cone.CoverInequality, "margin", counting)
+        monkeypatch.setattr(cone, "margin", counting)
         monkeypatch.setattr(realize, "build_bt_system", refuse)
         witness = check_implication(system, GUESS)
         assert violating_body(GUESS, witness.vector).violated

@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 
 from covercone.boxgeom import Box, BoxUnionBody, read_body, write_body
 from covercone.core import FormatError, ProjectionVector, read_vector, write_vector
-from covercone.covers import UniformCover, cover_from_json, cover_to_json
+from covercone.covers import UniformCover, cover_from_json, cover_to_obj
 from covercone.farkas import LinearInequality, read_inequality, write_inequality
 from covercone.witness import SetFamily, read_family, write_family
 
@@ -73,7 +73,7 @@ FORMATS = {
     "inequality": (inequalities(), write_inequality, read_inequality),
     "body": (bodies(), write_body, read_body),
     "family": (families(), write_family, read_family),
-    "cover": (covers(), cover_to_json, cover_from_json),
+    "cover": (covers(), lambda c: json.dumps(cover_to_obj(c)), cover_from_json),
 }
 READERS = {name: reader for name, (_, _, reader) in FORMATS.items()}
 

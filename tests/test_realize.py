@@ -117,7 +117,7 @@ class TestInteriorShift:
         shifted = ProjectionVector.zero(2).shift(F(1))
         assert shifted == ONES2
         g = build_bt_system(2).generators[0]
-        assert g.margin(shifted) == 1  # 1 + 1 > 1
+        assert cone.margin(g, shifted) == 1  # 1 + 1 > 1
 
     def test_witness_vector_strict_after_shift(self):
         v = theorem9_vector(4)
@@ -125,15 +125,15 @@ class TestInteriorShift:
         assert membership(system, v).tight
         shifted = v.shift(F(1, 10))
         for g in system.generators:
-            assert g.margin(shifted) > 0
+            assert cone.margin(g, shifted) > 0
 
     def test_margin_grows_by_parts_minus_k(self):
         eps = F(1, 10)
         v = sample_bt3_vector(random.Random(3))
         shifted = v.shift(eps)
         for g in build_bt_system(3).generators:
-            gain = (len(g.cover.parts) - g.cover.k) * eps
-            assert g.margin(shifted) - g.margin(v) == gain
+            gain = (len(g.parts) - g.k) * eps
+            assert cone.margin(g, shifted) - cone.margin(g, v) == gain
 
     def test_rejects_outside_vector(self):
         # membership is decided before the shift, which would land inside
@@ -329,8 +329,7 @@ class TestFindLambda:
 
         monkeypatch.setattr(realize, "membership", counting("membership", membership))
         monkeypatch.setattr(realize, "build_bt_system", counting("build_bt_system", build_bt_system))
-        monkeypatch.setattr(cone.CoverInequality, "margin",
-                            counting("margin", cone.CoverInequality.margin))
+        monkeypatch.setattr(cone, "margin", counting("margin", cone.margin))
         realize_vector(ONES2, 2)
         assert calls == {"membership": 0, "build_bt_system": 0, "margin": 0}
         v = sample_bt3_vector(random.Random(13))

@@ -55,7 +55,7 @@ class TestAnalyzeWitness:
     def test_reproduces_the_boundary_analysis(self):
         report = analyze_witness(theorem9_vector(4))
         assert report.in_cone
-        tights = {g.cover for g in report.tight}
+        tights = set(report.tight)
         assert TRIANGLE_123 in tights and TRIANGLE_234 in tights
         assert report.obstruction_lhs == 1
         assert report.obstruction_rhs == -1
@@ -64,7 +64,7 @@ class TestAnalyzeWitness:
     def test_named_grounds_have_no_other_tight_two_uniform(self):
         report = analyze_witness(theorem9_vector(4))
         for ground, expected in ((0b0111, TRIANGLE_123), (0b1110, TRIANGLE_234)):
-            found = {g.cover for g in report.tight if g.cover.k == 2 and g.cover.ground == ground}
+            found = {g for g in report.tight if g.k == 2 and g.ground == ground}
             assert found == {expected}
 
     def test_zero_vector(self):
@@ -91,8 +91,8 @@ class TestAnalyzeWitness:
         large = membership(build_bt_system(5, 3), theorem9_vector(5))
         assert large.inside == small.inside
         inside4 = mask_of(1, 2, 3, 4)
-        restricted = {g.cover for g in large.tight if g.cover.ground & ~inside4 == 0}
-        assert restricted == {g.cover for g in small.tight}
+        restricted = {g for g in large.tight if g.ground & ~inside4 == 0}
+        assert restricted == set(small.tight)
 
     def test_rejects_small_dimension(self):
         with pytest.raises(ValueError):
