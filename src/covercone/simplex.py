@@ -1,9 +1,21 @@
-"""Exact two-phase simplex over rationals, with Bland's rule.
+"""Exact two-phase revised simplex over rationals, with Bland's rule.
 
 Solves  min c.x  subject to  A x = b, x >= 0  in Fraction arithmetic, so
 feasibility verdicts and optima are exact and deterministic.  On an
 infeasible system the phase-1 dual is returned as a Farkas certificate:
 a vector y with y.b > 0 and y.A_j <= 0 for every column j.
+
+The method is the revised form.  Rows are negated where b_i < 0, and one
+artificial column e_i per row starts as the basis.  Each column is stored as
+its nonzeros; the state is the exact m x m basis inverse B^-1 and the basic
+values x_B.  Each round prices the nonbasic columns in index order with the
+duals pi = c_B B^-1 and enters the first one whose reduced cost
+c_j - pi.A_j is negative (Bland's rule).  Only that column's B^-1 A_j is
+formed, the ratio test breaks ties by the smallest basic index, and a pivot
+updates B^-1 and x_B.  These are the entering and leaving rules of the full
+tableau, so the pivots, x, the objective and the Farkas dual are the ones it
+gives.  A redundant row keeps its artificial basic at level zero: the row is
+zero on every original column, so that artificial never leaves.
 """
 
 from __future__ import annotations
@@ -31,6 +43,8 @@ class LPResult:
     objective: Optional[Fraction] = None
     #: on INFEASIBLE: y with y.b > 0 and y.A_j <= 0 for all j
     farkas_dual: Optional[list[Fraction]] = None
+    #: basis changes made in phase 1, while driving out artificials, and in phase 2
+    pivots: int = 0
 
 
 def solve_equality_lp(
@@ -44,133 +58,107 @@ def solve_equality_lp(
     if any(len(r) != nvars for r in rows) or len(rhs) != m:
         raise ValueError("inconsistent LP dimensions")
 
-    # sign-normalize so the right-hand side is nonnegative
-    sigma = [1] * m
-    tab: list[list[Fraction]] = []
-    b: list[Fraction] = []
-    for i in range(m):
-        if rhs[i] < 0:
-            sigma[i] = -1
-            tab.append([-Fraction(v) for v in rows[i]])
-            b.append(-Fraction(rhs[i]))
-        else:
-            tab.append([Fraction(v) for v in rows[i]])
-            b.append(Fraction(rhs[i]))
-
-    # append artificial identity columns
-    for i in range(m):
-        tab[i].extend(_ONE if j == i else _ZERO for j in range(m))
-        tab[i].append(b[i])
-    ncols = nvars + m
-    basis = list(range(nvars, ncols))
+    # sign-normalize so the right-hand side is nonnegative; artificials e_i last
+    sigma = [-1 if v < 0 else 1 for v in rhs]
+    columns: list[list[tuple[int, Fraction]]] = [[] for _ in range(nvars)]
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            if v:
+                columns[j].append((i, sigma[i] * Fraction(v)))
+    columns += [[(i, _ONE)] for i in range(m)]
+    lp = _RevisedSimplex(columns, [sigma[i] * Fraction(rhs[i]) for i in range(m)], max_pivots)
 
     # phase 1: minimize the artificial sum
-    zrow = [_ZERO] * (ncols + 1)
-    for j in range(nvars, ncols):
-        zrow[j] = _ONE
-    for i in range(m):  # eliminate basic (artificial) columns from the cost row
-        row = tab[i]
-        for j in range(ncols + 1):
-            zrow[j] -= row[j]
-    for bi in basis:
-        zrow[bi] = _ZERO
+    phase1 = [_ZERO] * nvars + [_ONE] * m
+    lp.optimize(phase1, nvars + m)
+    if sum((v for v, j in zip(lp.xb, lp.basis) if j >= nvars), _ZERO) > 0:
+        # optimal phase-1 duals: pi.b > 0 and pi.A_j <= 0 on the sign-normalized rows
+        pi = lp.duals(phase1)
+        return LPResult(INFEASIBLE, farkas_dual=[s * p for s, p in zip(sigma, pi)], pivots=lp.pivots)
 
-    budget = [max_pivots]
-    _pivot_until_optimal(tab, zrow, basis, entering_limit=ncols, budget=budget)
-    phase1 = -zrow[ncols]
-    if phase1 > 0:
-        # Farkas dual from the reduced costs of the artificial columns
-        y = [sigma[i] * (_ONE - zrow[nvars + i]) for i in range(m)]
-        return LPResult(INFEASIBLE, farkas_dual=y)
-
-    # drive zero-level artificials out of the basis; drop redundant rows
-    drop: list[int] = []
+    # drive zero-level artificials out of the basis where a row allows it
     for r in range(m):
-        if basis[r] >= nvars:
-            pivot_col = next((j for j in range(nvars) if tab[r][j] != 0), None)
-            if pivot_col is None:
-                drop.append(r)
-            else:
-                _pivot(tab, zrow, basis, r, pivot_col)
-    for r in reversed(drop):
-        del tab[r]
-        del basis[r]
-    m = len(tab)
+        if lp.basis[r] >= nvars:
+            inv_r = lp.inv[r]
+            j = next((j for j in range(nvars) if sum(inv_r[i] * a for i, a in columns[j])), None)
+            if j is not None:
+                lp.pivot(r, j, lp.entering(j))
 
     # phase 2 on the original columns only
-    zrow = [_ZERO] * (ncols + 1)
-    for j in range(nvars):
-        zrow[j] = Fraction(cost[j])
-    for i in range(m):
-        cb = cost[basis[i]] if basis[i] < nvars else _ZERO
-        if cb != 0:
-            row = tab[i]
-            for j in range(ncols + 1):
-                zrow[j] -= cb * row[j]
-    for bi in basis:
-        if bi < nvars:
-            zrow[bi] = _ZERO
-
-    bounded = _pivot_until_optimal(tab, zrow, basis, entering_limit=nvars, budget=budget)
-    if not bounded:
-        return LPResult(UNBOUNDED)
-
+    phase2 = [Fraction(c) for c in cost] + [_ZERO] * m
+    if not lp.optimize(phase2, nvars):
+        return LPResult(UNBOUNDED, pivots=lp.pivots)
     x = [_ZERO] * nvars
-    for r in range(m):
-        if basis[r] < nvars:
-            x[basis[r]] = tab[r][ncols]
-    return LPResult(OPTIMAL, x=x, objective=-zrow[ncols])
+    for j, v in zip(lp.basis, lp.xb):
+        if j < nvars:
+            x[j] = v
+    objective = sum((phase2[j] * v for j, v in zip(lp.basis, lp.xb)), _ZERO)
+    return LPResult(OPTIMAL, x=x, objective=objective, pivots=lp.pivots)
 
 
-def _pivot_until_optimal(tab, zrow, basis, entering_limit: int, budget: list) -> bool:
-    """Bland's rule; returns False when an unbounded direction is found."""
-    m = len(tab)
-    ncols = len(zrow) - 1
-    while True:
-        if budget[0] <= 0:
-            raise PivotLimitError("LP pivot budget exhausted")
-        budget[0] -= 1
-        enter = next(
-            (j for j in range(entering_limit) if zrow[j] < 0 and j not in basis),
-            None,
-        )
-        if enter is None:
-            return True
-        leave = None
-        best: Optional[Fraction] = None
-        for r in range(m):
-            a = tab[r][enter]
-            if a > 0:
-                ratio = tab[r][ncols] / a
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
-                    best = ratio
-                    leave = r
-        if leave is None:
-            return False
-        _pivot(tab, zrow, basis, leave, enter)
+class _RevisedSimplex:
+    """A basis of the sign-normalized system as B^-1 and x_B, starting at the artificials."""
 
+    def __init__(self, columns, xb: list[Fraction], max_pivots: int):
+        m = len(xb)
+        self.columns = columns
+        self.basis = list(range(len(columns) - m, len(columns)))
+        self.inv = [[_ONE if k == i else _ZERO for k in range(m)] for i in range(m)]
+        self.xb = xb
+        self.budget = max_pivots
+        self.pivots = 0
 
-def _pivot(tab, zrow, basis, r: int, j: int) -> None:
-    ncols = len(zrow) - 1
-    row = tab[r]
-    pivot = row[j]
-    if pivot == 0:
-        raise ValueError("zero pivot")
-    if pivot != 1:
-        inv = _ONE / pivot
-        tab[r] = row = [v * inv for v in row]
-    for i in range(len(tab)):
-        if i == r:
-            continue
-        factor = tab[i][j]
-        if factor != 0:
-            other = tab[i]
-            tab[i] = [ov - factor * rv for ov, rv in zip(other, row)]
-            tab[i][j] = _ZERO
-    factor = zrow[j]
-    if factor != 0:
-        for c in range(ncols + 1):
-            zrow[c] -= factor * row[c]
-        zrow[j] = _ZERO
-    basis[r] = j
+    def duals(self, cost) -> list[Fraction]:
+        pi = [_ZERO] * len(self.xb)
+        for j, inv_r in zip(self.basis, self.inv):
+            c = cost[j]
+            if c:
+                pi = [p + c * v if v else p for p, v in zip(pi, inv_r)]
+        return pi
 
+    def entering(self, j: int) -> list[Fraction]:
+        col = self.columns[j]
+        return [sum((inv_r[i] * a for i, a in col), _ZERO) for inv_r in self.inv]
+
+    def pivot(self, r: int, j: int, alpha: list[Fraction]) -> None:
+        inv, xb = self.inv, self.xb
+        p = alpha[r]
+        if p != 1:
+            inv[r] = [v / p for v in inv[r]]
+            xb[r] /= p
+        inv_r, x_r = inv[r], xb[r]
+        for i, f in enumerate(alpha):
+            if f and i != r:
+                inv[i] = [v - f * w if w else v for v, w in zip(inv[i], inv_r)]
+                xb[i] -= f * x_r
+        self.basis[r] = j
+        self.pivots += 1
+
+    def optimize(self, cost, limit: int) -> bool:
+        """Bland's rule over columns < limit; returns False on an unbounded direction."""
+        columns, xb, basis = self.columns, self.xb, self.basis
+        while True:
+            if self.budget <= 0:
+                raise PivotLimitError("LP pivot budget exhausted")
+            self.budget -= 1
+            pi = self.duals(cost)
+            basic = set(basis)
+            enter = next(
+                (j for j in range(limit)
+                 if j not in basic and sum((pi[i] * a for i, a in columns[j]), _ZERO) > cost[j]),
+                None,
+            )
+            if enter is None:
+                return True
+            alpha = self.entering(enter)
+            leave = None
+            best: Optional[Fraction] = None
+            for r, a in enumerate(alpha):
+                if a > 0:
+                    ratio = xb[r] / a
+                    if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
+                        best = ratio
+                        leave = r
+            if leave is None:
+                return False
+            self.pivot(leave, enter, alpha)

@@ -40,6 +40,11 @@ LW4 = json.dumps(
     {"n": 4, "lhs": {"1,2,3": "1", "1,2,4": "1", "1,3,4": "1", "2,3,4": "1"},
      "rhs": {"1,2,3,4": "3"}}
 )
+# the guess embedded in n = 5: refuted by the k <= 3 cone with one wide LP
+GUESS5 = json.dumps(
+    {"n": 5, "lhs": {"1,2": "1", "2,3": "1", "3,4": "1"},
+     "rhs": {"1,2,3": "1", "2,3,4": "1"}}
+)
 # outside the n = 4 cone: violates five generators and is tight on eight
 OUTSIDE4 = '{"n":4,"entries":{"1":"1","2":"1","3":"1","4":"1","1,2":"3","2,3,4":"2"}}'
 
@@ -48,10 +53,12 @@ OUTSIDE4 = '{"n":4,"entries":{"1":"1","2":"1","3":"1","4":"1","1,2":"3","2,3,4":
     (["witness", "--n", "4"], 0, "f634cff90d389cdd7fbfe3a28af85cddd77b6c26ac394d4f935e02860554f24d"),
     (["member", "--vector", "OUTSIDE4"], 1, "8712ba8992c2f12d65444ba2022bd3ca757bf4f02ba7e7f32bb50b5f05a61356"),
     (["imply", "--inequality", "LW4"], 0, "c5757ef940dbe89abe5926de7112c2164141d7ac0923754b8481eb979b5c18a5"),
-], ids=["witness-n4", "member-outside", "imply-loomis-whitney"])
+    (["imply", "--inequality", "GUESS5", "--kmax", "3"], 1,
+     "b471a19c30ea7ecd3b75ee552dd6c4c1573409de31e6b6d45e99089327bdb0e0"),
+], ids=["witness-n4", "member-outside", "imply-loomis-whitney", "imply-n5-kmax3"])
 def test_cover_output_pinned(capsys, tmp_path, argv, code, digest):
     """stdout listing cover objects (tight, violated, certificate) is byte-stable."""
-    files = {"OUTSIDE4": OUTSIDE4, "LW4": LW4}
+    files = {"OUTSIDE4": OUTSIDE4, "LW4": LW4, "GUESS5": GUESS5}
     argv = [write(tmp_path, f"{a}.json", files[a]) if a in files else a for a in argv]
     got, out, _ = run(capsys, *argv)
     assert got == code

@@ -1,7 +1,13 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
 
+from covercone import farkas, realize
+from covercone.cli import main
+from covercone.cone import build_bt_system
+from covercone.farkas import LinearInequality
 from covercone.simplex import (
     INFEASIBLE,
     OPTIMAL,
@@ -9,6 +15,7 @@ from covercone.simplex import (
     PivotLimitError,
     solve_equality_lp,
 )
+from tableau_lp import tableau_lp
 
 
 def test_simple_optimum():
@@ -78,3 +85,103 @@ def test_pivot_budget():
         solve_equality_lp(
             [[F(1), F(1)], [F(1), F(-1)]], [F(2), F(0)], [F(1), F(0)], max_pivots=1
         )
+
+
+# ---------------------------------------------------------------------------
+# differential tests against the dense tableau (tests/tableau_lp.py)
+
+ENTRY = st.sampled_from([F(0), F(0), F(1), F(-1), F(1, 2), F(-3, 2), F(2, 3)])
+
+
+@st.composite
+def small_lps(draw):
+    """Small LPs with 0/+-1 and small rational entries.
+
+    Zero right-hand sides give degenerate vertices, negative ones flip rows,
+    and an optional extra row is a multiple of the sum of two rows with the
+    matching right-hand side, so it is redundant.  Infeasible and unbounded
+    LPs come up on their own.
+    """
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 5))
+    rows = [[draw(ENTRY) for _ in range(n)] for _ in range(m)]
+    rhs = [draw(ENTRY) for _ in range(m)]
+    if draw(st.booleans()):
+        i, k = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        c = draw(st.sampled_from([F(1), F(-2), F(1, 3)]))
+        rows.append([c * (a + b) for a, b in zip(rows[i], rows[k])])
+        rhs.append(c * (rhs[i] + rhs[k]))
+    return rows, rhs, [draw(ENTRY) for _ in range(n)]
+
+
+def outcome(solver, *args, **kwargs):
+    try:
+        return solver(*args, **kwargs)
+    except PivotLimitError:
+        return "pivot limit"
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_lps(), st.integers(1, 6))
+def test_matches_tableau(lp, budget):
+    """Same status, x, objective, Farkas dual and pivot count; same budget cut."""
+    assert outcome(solve_equality_lp, *lp) == outcome(tableau_lp, *lp)
+    assert outcome(solve_equality_lp, *lp, max_pivots=budget) == outcome(tableau_lp, *lp, max_pivots=budget)
+
+
+def check_against_linprog(rows, rhs, cost, res):
+    """Exact certificate checks, then status and value against HiGHS in floats."""
+    cols = range(len(cost))
+    if res.status == OPTIMAL:
+        assert all(v >= 0 for v in res.x)
+        assert [sum(r[j] * res.x[j] for j in cols) for r in rows] == list(rhs)
+        assert sum(c * v for c, v in zip(cost, res.x)) == res.objective
+    if res.status == INFEASIBLE:
+        y = res.farkas_dual
+        assert sum(yi * bi for yi, bi in zip(y, rhs)) > 0
+        assert all(sum(yi * r[j] for yi, r in zip(y, rows)) <= 0 for j in cols)
+    ref = linprog(
+        [float(c) for c in cost],
+        A_eq=[[float(v) for v in r] for r in rows],
+        b_eq=[float(b) for b in rhs],
+        bounds=(0, None),
+        method="highs",
+    )
+    assert {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}.get(ref.status) == res.status
+    if res.status == OPTIMAL:
+        assert ref.fun == pytest.approx(float(res.objective), rel=1e-9, abs=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_lps())
+def test_matches_linprog(lp):
+    check_against_linprog(*lp, solve_equality_lp(*lp))
+
+
+def test_real_lps_match_tableau(monkeypatch, capsys, tmp_path):
+    """The LPs of the n = 4 guess `imply --emit-body` path and of the n = 5
+    refutation at k <= 3, replayed through the dense tableau and HiGHS."""
+    solved = []
+
+    def record(*args, **kwargs):
+        res = solve_equality_lp(*args, **kwargs)
+        solved.append((args, res))
+        return res
+
+    monkeypatch.setattr(farkas, "solve_equality_lp", record)
+    monkeypatch.setattr(realize, "solve_equality_lp", record)
+    guess = tmp_path / "guess.json"
+    guess.write_text('{"n": 4, "lhs": {"1,2": "1", "2,3": "1", "3,4": "1"}, '
+                     '"rhs": {"1,2,3": "1", "2,3,4": "1"}}', encoding="utf-8")
+    assert main(["imply", "--inequality", str(guess), "--emit-body", str(tmp_path / "body.json")]) == 1
+    capsys.readouterr()
+    guess5 = LinearInequality.from_maps(
+        5, {0b00011: F(1), 0b00110: F(1), 0b01100: F(1)}, {0b00111: F(1), 0b01110: F(1)}
+    )
+    farkas.check_implication(build_bt_system(5, 3), guess5)
+
+    assert {res.status for _, res in solved} == {OPTIMAL, INFEASIBLE}
+    assert max(len(args[0][0]) for args, _ in solved) == 1650
+    for args, res in solved:
+        assert res == tableau_lp(*args)
+        check_against_linprog(*args, res)
