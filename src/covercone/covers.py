@@ -222,11 +222,12 @@ def decompose(cover: UniformCover) -> Optional[tuple[UniformCover, UniformCover]
 
 
 @lru_cache(maxsize=None)
-def _irreducible_level(ground: int, k: int) -> tuple[UniformCover, ...]:
-    avoid = [c.parts for j in range(1, k // 2 + 1) for c in _irreducible_level(ground, j)]
-    found = [UniformCover(ground, k, parts) for parts in _search(ground, _all_parts(ground, k), k, avoid)]
-    found.sort(key=UniformCover.sort_key)
-    return tuple(found)
+def _irreducible_level(size: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The parts of each irreducible k-uniform cover of {1..size}, in sort_key order."""
+    ground = (1 << size) - 1
+    avoid = [parts for j in range(1, k // 2 + 1) for parts in _irreducible_level(size, j)]
+    found = _search(ground, _all_parts(ground, k), k, avoid)
+    return tuple(sorted(found, key=lambda parts: (len(parts), [_part_key(p) for p in parts])))
 
 
 def irreducible_covers(ground: int, k_max: Optional[int] = None) -> list[UniformCover]:
@@ -238,7 +239,9 @@ def irreducible_covers(ground: int, k_max: Optional[int] = None) -> list[Uniform
     multiplicity <= k/2 splits on down into irreducible covers, each
     contained in C; conversely such a cover is a proper uniform
     sub-multiset of C.)  So level k is the search of all k-uniform covers
-    avoiding levels 1..k//2.
+    avoiding levels 1..k//2.  It is searched once per ground size, on
+    {1..|ground|}, and mapped onto the ground by the increasing bijection of
+    elements, which keeps the order of parts and of covers.
 
     k_max defaults to |ground| (no new irreducible covers appear above that
     for the ground sizes this artifact targets; validated by tests).
@@ -246,7 +249,13 @@ def irreducible_covers(ground: int, k_max: Optional[int] = None) -> list[Uniform
     if k_max is None:
         k_max = max(ground.bit_count(), 1)
     _check_part_limit(ground, k_max)
-    return [c for k in range(1, k_max + 1) for c in _irreducible_level(ground, k)]
+    bits = [1 << e for e in range(MAX_DIMENSION) if ground >> e & 1]
+    image = [sum(b for i, b in enumerate(bits) if part >> i & 1) for part in range(1 << len(bits))]
+    return [
+        UniformCover(ground, k, tuple(image[p] for p in parts))
+        for k in range(1, k_max + 1)
+        for parts in _irreducible_level(len(bits), k)
+    ]
 
 
 # ---------------------------------------------------------------------------

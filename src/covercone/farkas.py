@@ -111,11 +111,11 @@ def check_implication(system: ConeSystem, ineq: LinearInequality) -> Union[Farka
     for mask, c in ineq.coefficient_map().items():
         target[index[mask]] = c
     columns = [coefficients(g) for g in system.generators]
-    rows = [[Fraction(0)] * len(columns) for _ in order]
+    rows = [[0] * len(columns) for _ in order]
     for j, column in enumerate(columns):
         for mask, c in column.items():
-            rows[index[mask]][j] = Fraction(c)
-    res = solve_equality_lp(rows, target, [Fraction(0)] * len(columns))
+            rows[index[mask]][j] = c
+    res = solve_equality_lp(rows, target, [0] * len(columns))
 
     if res.status == OPTIMAL:
         weights = {j: w for j, w in enumerate(res.x) if w != 0}

@@ -1,27 +1,31 @@
-"""Exact two-phase revised simplex over rationals, with Bland's rule.
+"""Exact two-phase revised simplex over the integers, with Bland's rule.
 
-Solves  min c.x  subject to  A x = b, x >= 0  in Fraction arithmetic, so
-feasibility verdicts and optima are exact and deterministic.  On an
-infeasible system the phase-1 dual is returned as a Farkas certificate:
+Solves  min c.x  subject to  A x = b, x >= 0  exactly and deterministically.
+On an infeasible system the phase-1 dual is returned as a Farkas certificate:
 a vector y with y.b > 0 and y.A_j <= 0 for every column j.
 
-The method is the revised form.  Rows are negated where b_i < 0, and one
-artificial column e_i per row starts as the basis.  Each column is stored as
-its nonzeros; the state is the exact m x m basis inverse B^-1 and the basic
-values x_B.  Each round prices the nonbasic columns in index order with the
-duals pi = c_B B^-1 and enters the first one whose reduced cost
-c_j - pi.A_j is negative (Bland's rule).  Only that column's B^-1 A_j is
-formed, the ratio test breaks ties by the smallest basic index, and a pivot
-updates B^-1 and x_B.  These are the entering and leaving rules of the full
-tableau, so the pivots, x, the objective and the Farkas dual are the ones it
-gives.  A redundant row keeps its artificial basic at level zero: the row is
-zero on every original column, so that artificial never leaves.
+A, b and c are scaled once by K, L and M, each the lcm of its denominators,
+so the pivot loop runs on Python ints.  Rows are negated where b_i < 0, one
+artificial column e_i per row starts as the basis, and each column is stored
+as its nonzeros.  The state is integer-preserving (Edmonds/Bareiss): adj, X
+and D = |det B| > 0 with B^-1 = adj/D and x_B = X/D.  Each round enters the
+first nonbasic column with P.A_j > c_j D, P = c_B adj (Bland's rule), forms
+a = adj A_j, and takes the ratio test as X_r a_s < X_s a_r, ties to the
+smallest basic index.  The pivot keeps row r and sets each other row of adj
+and X to (a_r row_i - a_i row_r) / D, an exact division, as the result is an
+adjugate; then D = |a_r|, negating row r if a_r < 0.  A positive scale per
+object flips no reduced cost and reorders no ratios, so the pivots are the
+full tableau's, and so are x = K X/(D L), the objective and the Farkas dual
+sigma P/D, the only Fractions formed.  A redundant row keeps its artificial
+basic at level zero: the row is zero on every original column, so that
+artificial never leaves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 OPTIMAL = "optimal"
@@ -29,7 +33,6 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class PivotLimitError(RuntimeError):
@@ -58,107 +61,112 @@ def solve_equality_lp(
     if any(len(r) != nvars for r in rows) or len(rhs) != m:
         raise ValueError("inconsistent LP dimensions")
 
-    # sign-normalize so the right-hand side is nonnegative; artificials e_i last
+    # one positive integer scale each for A, b and c; rows sign-normalized so
+    # that b >= 0; artificials e_i last.  v.denominator works on int and Fraction.
+    K = lcm(*{v.denominator for row in rows for v in row})
+    L = lcm(*(v.denominator for v in rhs))
+    M = lcm(*(v.denominator for v in cost))
     sigma = [-1 if v < 0 else 1 for v in rhs]
-    columns: list[list[tuple[int, Fraction]]] = [[] for _ in range(nvars)]
+    columns: list[list[tuple[int, int]]] = [[] for _ in range(nvars)]
     for i, row in enumerate(rows):
         for j, v in enumerate(row):
             if v:
-                columns[j].append((i, sigma[i] * Fraction(v)))
-    columns += [[(i, _ONE)] for i in range(m)]
-    lp = _RevisedSimplex(columns, [sigma[i] * Fraction(rhs[i]) for i in range(m)], max_pivots)
+                columns[j].append((i, sigma[i] * v.numerator * (K // v.denominator)))
+    columns += [[(i, 1)] for i in range(m)]
+    lp = _RevisedSimplex(columns, [s * v.numerator * (L // v.denominator) for s, v in zip(sigma, rhs)], max_pivots)
 
     # phase 1: minimize the artificial sum
-    phase1 = [_ZERO] * nvars + [_ONE] * m
+    phase1 = [0] * nvars + [1] * m
     lp.optimize(phase1, nvars + m)
-    if sum((v for v, j in zip(lp.xb, lp.basis) if j >= nvars), _ZERO) > 0:
-        # optimal phase-1 duals: pi.b > 0 and pi.A_j <= 0 on the sign-normalized rows
-        pi = lp.duals(phase1)
-        return LPResult(INFEASIBLE, farkas_dual=[s * p for s, p in zip(sigma, pi)], pivots=lp.pivots)
+    if sum(v for v, j in zip(lp.X, lp.basis) if j >= nvars) > 0:
+        # optimal phase-1 duals P/D: y.b > 0 and y.A_j <= 0 on the sign-normalized rows
+        P = lp.duals(phase1)
+        return LPResult(INFEASIBLE, farkas_dual=[Fraction(s * p, lp.D) for s, p in zip(sigma, P)], pivots=lp.pivots)
 
     # drive zero-level artificials out of the basis where a row allows it
     for r in range(m):
         if lp.basis[r] >= nvars:
-            inv_r = lp.inv[r]
-            j = next((j for j in range(nvars) if sum(inv_r[i] * a for i, a in columns[j])), None)
+            adj_r = lp.adj[r]
+            j = next((j for j in range(nvars) if sum(adj_r[i] * a for i, a in columns[j])), None)
             if j is not None:
                 lp.pivot(r, j, lp.entering(j))
 
     # phase 2 on the original columns only
-    phase2 = [Fraction(c) for c in cost] + [_ZERO] * m
+    phase2 = [c.numerator * (M // c.denominator) for c in cost] + [0] * m
     if not lp.optimize(phase2, nvars):
         return LPResult(UNBOUNDED, pivots=lp.pivots)
     x = [_ZERO] * nvars
-    for j, v in zip(lp.basis, lp.xb):
+    for j, v in zip(lp.basis, lp.X):
         if j < nvars:
-            x[j] = v
-    objective = sum((phase2[j] * v for j, v in zip(lp.basis, lp.xb)), _ZERO)
+            x[j] = Fraction(K * v, lp.D * L)
+    objective = Fraction(K * sum(phase2[j] * v for j, v in zip(lp.basis, lp.X)), M * lp.D * L)
     return LPResult(OPTIMAL, x=x, objective=objective, pivots=lp.pivots)
 
 
 class _RevisedSimplex:
-    """A basis of the sign-normalized system as B^-1 and x_B, starting at the artificials."""
+    """A basis of the scaled system as adj, X and D, starting at the artificials."""
 
-    def __init__(self, columns, xb: list[Fraction], max_pivots: int):
-        m = len(xb)
+    def __init__(self, columns, X: list[int], max_pivots: int):
+        m = len(X)
         self.columns = columns
         self.basis = list(range(len(columns) - m, len(columns)))
-        self.inv = [[_ONE if k == i else _ZERO for k in range(m)] for i in range(m)]
-        self.xb = xb
+        self.adj = [[int(k == i) for k in range(m)] for i in range(m)]
+        self.X = X
+        self.D = 1
         self.budget = max_pivots
         self.pivots = 0
 
-    def duals(self, cost) -> list[Fraction]:
-        pi = [_ZERO] * len(self.xb)
-        for j, inv_r in zip(self.basis, self.inv):
+    def duals(self, cost) -> list[int]:
+        """P = c_B adj; the duals c_B B^-1 are P/D."""
+        P = [0] * len(self.X)
+        for j, adj_r in zip(self.basis, self.adj):
             c = cost[j]
             if c:
-                pi = [p + c * v if v else p for p, v in zip(pi, inv_r)]
-        return pi
+                P = [p + c * v for p, v in zip(P, adj_r)]
+        return P
 
-    def entering(self, j: int) -> list[Fraction]:
+    def entering(self, j: int) -> list[int]:
         col = self.columns[j]
-        return [sum((inv_r[i] * a for i, a in col), _ZERO) for inv_r in self.inv]
+        return [sum(adj_r[i] * a for i, a in col) for adj_r in self.adj]
 
-    def pivot(self, r: int, j: int, alpha: list[Fraction]) -> None:
-        inv, xb = self.inv, self.xb
-        p = alpha[r]
-        if p != 1:
-            inv[r] = [v / p for v in inv[r]]
-            xb[r] /= p
-        inv_r, x_r = inv[r], xb[r]
-        for i, f in enumerate(alpha):
-            if f and i != r:
-                inv[i] = [v - f * w if w else v for v, w in zip(inv[i], inv_r)]
-                xb[i] -= f * x_r
+    def pivot(self, r: int, j: int, a: list[int]) -> None:
+        adj, X, D = self.adj, self.X, self.D
+        p = a[r]
+        if p < 0:  # keeps D > 0; only the drive-out pivots on a negative entry
+            p = -p
+            adj[r] = [-v for v in adj[r]]
+            X[r] = -X[r]
+        adj_r, x_r = adj[r], X[r]
+        for i, f in enumerate(a):
+            if i != r:
+                adj[i] = [(p * v - f * w) // D for v, w in zip(adj[i], adj_r)]
+                X[i] = (p * X[i] - f * x_r) // D
+        self.D = p
         self.basis[r] = j
         self.pivots += 1
 
     def optimize(self, cost, limit: int) -> bool:
         """Bland's rule over columns < limit; returns False on an unbounded direction."""
-        columns, xb, basis = self.columns, self.xb, self.basis
+        columns, X, basis = self.columns, self.X, self.basis
         while True:
             if self.budget <= 0:
                 raise PivotLimitError("LP pivot budget exhausted")
             self.budget -= 1
-            pi = self.duals(cost)
+            P, D = self.duals(cost), self.D
             basic = set(basis)
             enter = next(
                 (j for j in range(limit)
-                 if j not in basic and sum((pi[i] * a for i, a in columns[j]), _ZERO) > cost[j]),
+                 if j not in basic and sum(P[i] * a for i, a in columns[j]) > cost[j] * D),
                 None,
             )
             if enter is None:
                 return True
-            alpha = self.entering(enter)
+            a = self.entering(enter)
             leave = None
-            best: Optional[Fraction] = None
-            for r, a in enumerate(alpha):
-                if a > 0:
-                    ratio = xb[r] / a
-                    if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
-                        best = ratio
-                        leave = r
+            for r, a_r in enumerate(a):
+                # x_r/a_r < x_leave/a_leave, ties to the smallest basic index
+                if a_r > 0 and (leave is None or (X[r] * a[leave], basis[r]) < (X[leave] * a_r, basis[leave])):
+                    leave = r
             if leave is None:
                 return False
-            self.pivot(leave, enter, alpha)
+            self.pivot(leave, enter, a)

@@ -6,6 +6,8 @@ from conftest import oracle_all_covers, oracle_irreducible_covers
 from covercone.covers import (
     ResourceLimitError,
     UniformCover,
+    _all_parts,
+    _search,
     cover_from_json,
     cover_to_obj,
     decompose,
@@ -140,6 +142,16 @@ class TestIrreducible:
         ground = (1 << size) - 1
         expected = [c for c in enumerate_covers(ground, k_max) if decompose(c) is None]
         assert irreducible_covers(ground, k_max) == expected
+
+    @pytest.mark.parametrize("n,k_max", [(4, 4), (5, 3)])
+    def test_relabeled_levels_match_a_search_on_each_ground(self, n, k_max):
+        # each level is searched once per ground size and relabeled onto the ground
+        for ground in range(1, 1 << n):
+            for k in range(1, k_max + 1):
+                avoid = [c.parts for c in irreducible_covers(ground, k // 2)] if k > 1 else []
+                direct = [UniformCover(ground, k, parts) for parts in _search(ground, _all_parts(ground, k), k, avoid)]
+                got = [c for c in irreducible_covers(ground, k) if c.k == k]
+                assert got == sorted(direct, key=UniformCover.sort_key)
 
     def test_resource_guard(self):
         with pytest.raises(ResourceLimitError):

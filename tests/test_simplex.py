@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
-from covercone import farkas, realize
+from covercone import farkas, realize, simplex
 from covercone.cli import main
 from covercone.cone import build_bt_system
 from covercone.farkas import LinearInequality
@@ -68,7 +68,7 @@ def test_degenerate_does_not_cycle():
     assert res.objective == F(-1, 20)
 
 
-def test_redundant_rows_are_dropped():
+def test_redundant_row_keeps_the_optimum():
     rows = [[F(1), F(1)], [F(2), F(2)]]
     res = solve_equality_lp(rows, [F(2), F(4)], [F(1), F(2)])
     assert res.status == OPTIMAL
@@ -114,6 +114,28 @@ def small_lps(draw):
     return rows, rhs, [draw(ENTRY) for _ in range(n)]
 
 
+BIG = st.builds(F, st.integers(-10**31, 10**31), st.sampled_from([1, 10, 10**6, 10**15, 10**30]))
+COST = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3, 7, 12]))
+
+
+@st.composite
+def scaled_lps(draw):
+    """LPs whose right-hand sides have denominators up to 10^30, like the log
+    targets of realize, and whose costs have non-unit denominators.
+
+    Half of them are feasible by construction: b = A x0 for some x0 >= 0.
+    """
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 5))
+    rows = [[draw(ENTRY) for _ in range(n)] for _ in range(m)]
+    if draw(st.booleans()):
+        x0 = [abs(draw(BIG)) for _ in range(n)]
+        rhs = [sum(a * v for a, v in zip(row, x0)) for row in rows]
+    else:
+        rhs = [draw(BIG) for _ in range(m)]
+    return rows, rhs, [draw(COST) for _ in range(n)]
+
+
 def outcome(solver, *args, **kwargs):
     try:
         return solver(*args, **kwargs)
@@ -127,6 +149,12 @@ def test_matches_tableau(lp, budget):
     """Same status, x, objective, Farkas dual and pivot count; same budget cut."""
     assert outcome(solve_equality_lp, *lp) == outcome(tableau_lp, *lp)
     assert outcome(solve_equality_lp, *lp, max_pivots=budget) == outcome(tableau_lp, *lp, max_pivots=budget)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scaled_lps())
+def test_large_denominators_match_tableau(lp):
+    assert outcome(solve_equality_lp, *lp) == outcome(tableau_lp, *lp)
 
 
 def check_against_linprog(rows, rhs, cost, res):
@@ -158,6 +186,16 @@ def test_matches_linprog(lp):
     check_against_linprog(*lp, solve_equality_lp(*lp))
 
 
+def imply_guess4(tmp_path, capsys):
+    """Run the n = 4 guess through `imply --emit-body`: one implication LP,
+    then the step LPs of realization."""
+    guess = tmp_path / "guess.json"
+    guess.write_text('{"n": 4, "lhs": {"1,2": "1", "2,3": "1", "3,4": "1"}, '
+                     '"rhs": {"1,2,3": "1", "2,3,4": "1"}}', encoding="utf-8")
+    assert main(["imply", "--inequality", str(guess), "--emit-body", str(tmp_path / "body.json")]) == 1
+    capsys.readouterr()
+
+
 def test_real_lps_match_tableau(monkeypatch, capsys, tmp_path):
     """The LPs of the n = 4 guess `imply --emit-body` path and of the n = 5
     refutation at k <= 3, replayed through the dense tableau and HiGHS."""
@@ -170,11 +208,7 @@ def test_real_lps_match_tableau(monkeypatch, capsys, tmp_path):
 
     monkeypatch.setattr(farkas, "solve_equality_lp", record)
     monkeypatch.setattr(realize, "solve_equality_lp", record)
-    guess = tmp_path / "guess.json"
-    guess.write_text('{"n": 4, "lhs": {"1,2": "1", "2,3": "1", "3,4": "1"}, '
-                     '"rhs": {"1,2,3": "1", "2,3,4": "1"}}', encoding="utf-8")
-    assert main(["imply", "--inequality", str(guess), "--emit-body", str(tmp_path / "body.json")]) == 1
-    capsys.readouterr()
+    imply_guess4(tmp_path, capsys)
     guess5 = LinearInequality.from_maps(
         5, {0b00011: F(1), 0b00110: F(1), 0b01100: F(1)}, {0b00111: F(1), 0b01110: F(1)}
     )
@@ -185,3 +219,50 @@ def test_real_lps_match_tableau(monkeypatch, capsys, tmp_path):
     for args, res in solved:
         assert res == tableau_lp(*args)
         check_against_linprog(*args, res)
+
+
+def exact_det(matrix) -> F:
+    """Determinant by Gaussian elimination in Fractions."""
+    rows = [[F(v) for v in row] for row in matrix]
+    det = F(1)
+    for c in range(len(rows)):
+        p = next((r for r in range(c, len(rows)) if rows[r][c]), None)
+        if p is None:
+            return F(0)
+        if p != c:
+            rows[c], rows[p], det = rows[p], rows[c], -det
+        det *= rows[c][c]
+        for r in range(c + 1, len(rows)):
+            f = rows[r][c] / rows[c][c]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[c])]
+    return det
+
+
+def test_integer_basis_invariant(monkeypatch, capsys, tmp_path):
+    """After every pivot of the n = 4 guess LPs: adj and X hold ints,
+    D = |det B| > 0, adj = D B^-1 and X = D x_B, checked exactly."""
+    init, pivot = simplex._RevisedSimplex.__init__, simplex._RevisedSimplex.pivot
+    checked = []
+
+    def recording_init(lp, columns, X, max_pivots):
+        init(lp, columns, X, max_pivots)
+        lp.b = list(X)  # the scaled right-hand side, while B = I and D = 1
+
+    def checked_pivot(lp, *args):
+        pivot(lp, *args)
+        m = len(lp.X)
+        B = [[dict(lp.columns[j]).get(i, 0) for j in lp.basis] for i in range(m)]
+        assert all(type(v) is int for row in lp.adj for v in row)
+        assert all(type(v) is int for v in lp.X)
+        assert lp.D > 0 and lp.D == abs(exact_det(B))
+        # B adj = D I, so adj = D B^-1; and B X = D b, so X = D x_B
+        assert [[sum(B[i][k] * lp.adj[k][c] for k in range(m)) for c in range(m)] for i in range(m)] == [
+            [lp.D * (i == c) for c in range(m)] for i in range(m)
+        ]
+        assert [sum(B[i][k] * lp.X[k] for k in range(m)) for i in range(m)] == [lp.D * v for v in lp.b]
+        checked.append(m)
+
+    monkeypatch.setattr(simplex._RevisedSimplex, "__init__", recording_init)
+    monkeypatch.setattr(simplex._RevisedSimplex, "pivot", checked_pivot)
+    imply_guess4(tmp_path, capsys)
+    assert len(checked) > 50
