@@ -29,6 +29,7 @@ from .core import (
     parse_rational,
     parse_subset,
     read_vector,
+    vector_to_obj,
     write_vector,
 )
 
@@ -55,7 +56,7 @@ def _gap(value: Fraction) -> str:
 
 def cmd_covers(args) -> int:
     ground = parse_subset(args.ground, MAX_DIMENSION)
-    k_max = args.kmax if args.kmax is not None else max(ground.bit_count(), 1)
+    k_max = covers.check_k_max(ground, args.kmax)
     if args.irreducible:
         found = covers.irreducible_covers(ground, k_max)
     else:
@@ -84,15 +85,15 @@ def cmd_imply(args) -> int:
     result = farkas.check_implication(system, ineq)
     if isinstance(result, farkas.FarkasCertificate):
         _print({
-            "inequality": ineq.format_text(),
+            "inequality": cone.format_inequality(ineq.coefficient_map()),
             "implied": True,
             "certificate": farkas.certificate_to_obj(system, result),
         })
         return 0
     out = {
-        "inequality": ineq.format_text(),
+        "inequality": cone.format_inequality(ineq.coefficient_map()),
         "implied": False,
-        "witness": json.loads(write_vector(result.vector)),
+        "witness": vector_to_obj(result.vector),
         "violation_gap": format_rational(result.gap),
     }
     if args.emit_body:
@@ -183,7 +184,7 @@ def cmd_witness(args) -> int:
     report = witness.analyze_witness(v)
     _print({
         "n": args.n,
-        "vector": json.loads(write_vector(v)),
+        "vector": vector_to_obj(v),
         "in_cone": report.in_cone,
         "tight": _cover_objs(report.tight),
         "obstruction_lhs": format_rational(report.obstruction_lhs),

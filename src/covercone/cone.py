@@ -4,8 +4,8 @@ Every nonempty Y subset [n] contributes one inequality per nontrivial
 irreducible uniform cover of Y:  sum_i x_{Y_i} >= k * x_Y.  Reducible covers
 add nothing (their inequalities are sums of irreducible ones) and the trivial
 cover [Y] is a tautology, so the generator list below is finite and complete
-for membership purposes.  A generator is its UniformCover; `coefficients`,
-`margin` and `format_inequality` read it as that inequality.
+for membership purposes.  A generator is its UniformCover; `coefficients`
+and `margin` read it as that inequality, and `format_inequality` prints it.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import Mapping, Optional
 
-from .core import ProjectionVector, canonical_subset_order, format_subset
+from .core import ProjectionVector, canonical_subset_order, format_rational, format_subset
 from .covers import UniformCover, irreducible_covers
 
 #: the default k <= |Y| system is proved complete up to here; n = 6 does not
@@ -37,11 +37,12 @@ def margin(cover: UniformCover, v: ProjectionVector) -> Fraction:
     return sum((v[part] for part in cover.parts), Fraction(0)) - cover.k * v[cover.ground]
 
 
-def format_inequality(cover: UniformCover) -> str:
-    """e.g. `1*1 + 1*2 >= 1*1,2`; a ground that is also a part nets out."""
-    coeffs = coefficients(cover).items()
-    lhs = " + ".join(f"{c}*{format_subset(m)}" for m, c in coeffs if c > 0)
-    rhs = " + ".join(f"{-c}*{format_subset(m)}" for m, c in coeffs if c < 0)
+def format_inequality(coeffs: Mapping[int, Fraction]) -> str:
+    """A netted mask -> coefficient map, as from `coefficients` or
+    LinearInequality.coefficient_map, read as coeffs . x >= 0 and printed
+    with each side in map order, e.g. `1*1 + 1*2 >= 1*1,2`."""
+    lhs = " + ".join(f"{format_rational(c)}*{format_subset(m)}" for m, c in coeffs.items() if c > 0)
+    rhs = " + ".join(f"{format_rational(-c)}*{format_subset(m)}" for m, c in coeffs.items() if c < 0)
     return f"{lhs or 0} >= {rhs or 0}"
 
 
@@ -51,7 +52,7 @@ class ConeSystem:
     generators: tuple[UniformCover, ...]
 
     def h_representation(self) -> str:
-        return "\n".join(map(format_inequality, self.generators))
+        return "\n".join(format_inequality(coefficients(g)) for g in self.generators)
 
 
 @dataclass(frozen=True)
@@ -65,12 +66,10 @@ class MembershipReport:
 def build_bt_system(n: int, k_max: Optional[int] = None) -> ConeSystem:
     """All nontrivial irreducible cover inequalities over every Y subset [n].
 
-    k_max applies to every ground set and defaults to n.
+    k_max applies to every ground set; by default each Y searches k <= |Y|.
     """
     if not 1 <= n <= MAX_CONE_DIMENSION:
         raise ValueError(f"cone systems are limited to 1 <= n <= {MAX_CONE_DIMENSION}")
-    if k_max is None:
-        k_max = n
     generators = []
     for ground in canonical_subset_order(n):
         for cover in irreducible_covers(ground, k_max):

@@ -261,10 +261,14 @@ def read_vector(text: str) -> ProjectionVector:
     )
 
 
-def write_vector(v: ProjectionVector) -> str:
-    """Serialize with keys in canonical order; zero entries are explicit."""
+def vector_to_obj(v: ProjectionVector) -> dict:
+    """The vector file's object: keys in canonical order, zero entries explicit."""
     entries = {
         format_subset(mask): format_rational(v[mask])
         for mask in canonical_subset_order(v.n)
     }
-    return json.dumps({"n": v.n, "entries": entries}, indent=2)
+    return {"n": v.n, "entries": entries}
+
+
+def write_vector(v: ProjectionVector) -> str:
+    return json.dumps(vector_to_obj(v), indent=2)

@@ -88,9 +88,12 @@ def _coverage(ground: int, parts) -> list[int]:
     return counts
 
 
-def _check_part_limit(ground: int, k_max: int) -> None:
+def check_k_max(ground: int, k_max: Optional[int]) -> int:
+    """k_max, or |ground| when it is None, once it is positive and within the part limit."""
     if ground == 0:
         raise ValueError("ground set must be nonempty")
+    if k_max is None:
+        k_max = ground.bit_count()
     if k_max < 1:
         raise ValueError("k_max must be positive")
     size = ground.bit_count()
@@ -98,6 +101,7 @@ def _check_part_limit(ground: int, k_max: int) -> None:
         raise ResourceLimitError(
             f"k_max={k_max} on a {size}-element ground exceeds the part limit {COVER_PART_LIMIT}"
         )
+    return k_max
 
 
 def _search(ground: int, pool, k: int, avoid=(), limit: Optional[int] = None) -> list[tuple[int, ...]]:
@@ -190,7 +194,7 @@ def enumerate_covers(ground: int, k_max: int) -> list[UniformCover]:
 
     A k-uniform cover has at most k*|ground| parts, so every search ends.
     """
-    _check_part_limit(ground, k_max)
+    check_k_max(ground, k_max)
     out = [
         UniformCover(ground, k, parts)
         for k in range(1, k_max + 1)
@@ -246,9 +250,7 @@ def irreducible_covers(ground: int, k_max: Optional[int] = None) -> list[Uniform
     k_max defaults to |ground| (no new irreducible covers appear above that
     for the ground sizes this artifact targets; validated by tests).
     """
-    if k_max is None:
-        k_max = max(ground.bit_count(), 1)
-    _check_part_limit(ground, k_max)
+    k_max = check_k_max(ground, k_max)
     bits = [1 << e for e in range(MAX_DIMENSION) if ground >> e & 1]
     image = [sum(b for i, b in enumerate(bits) if part >> i & 1) for part in range(1 << len(bits))]
     return [

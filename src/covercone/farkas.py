@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping, Union
 
-from .boxgeom import BoxUnionBody, projection_volume
+from .boxgeom import BoxUnionBody
 from .cone import ConeSystem, coefficients, membership
 from .core import (
     FormatError,
@@ -72,14 +72,6 @@ class LinearInequality:
     def evaluate(self, v: ProjectionVector) -> Fraction:
         """lhs(v) - rhs(v); negative means v violates the inequality."""
         return sum((c * v[m] for m, c in self.coefficient_map().items()), Fraction(0))
-
-    def format_text(self) -> str:
-        def side(terms):
-            if not terms:
-                return "0"
-            return " + ".join(f"{format_rational(c)}*{format_subset(m)}" for m, c in terms)
-
-        return f"{side(self.lhs)} >= {side(self.rhs)}"
 
 
 @dataclass(frozen=True)
@@ -184,13 +176,14 @@ def violating_body(ineq: LinearInequality, witness: ProjectionVector) -> Violati
         shift_eps = Fraction(1)
     realization = double_lambda(witness.shift(shift_eps))
 
-    scale = lcm(*(c.denominator for _, c in ineq.lhs + ineq.rhs)) if (ineq.lhs or ineq.rhs) else 1
+    scale = lcm(*(c.denominator for _, c in ineq.lhs + ineq.rhs))
+    volumes = realization.profile.volumes
     lhs_product = Fraction(1)
     for mask, c in ineq.lhs:
-        lhs_product *= projection_volume(realization.body, mask) ** int(c * scale)
+        lhs_product *= volumes[mask] ** int(c * scale)
     rhs_product = Fraction(1)
     for mask, c in ineq.rhs:
-        rhs_product *= projection_volume(realization.body, mask) ** int(c * scale)
+        rhs_product *= volumes[mask] ** int(c * scale)
     out = ViolationReport(
         realization.body, realization, shift_eps, scale, lhs_product, rhs_product
     )

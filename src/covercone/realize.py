@@ -7,12 +7,7 @@ smallest; at each step it solves one linear program over the |S| sidelengths
 of a box living in Span(S), subtracts that box's projection volumes from the
 running targets, and finally places all boxes disjointly.  lambda is found by
 doubling; failure at the cap is inconclusive, never a non-realizability claim.
-
-Each step LP is one solve_equality_lp call in log space.  Its columns are
-the |S| log sides in element order, the largest side t, and one slack per
-inequality row; its rows are a cap for each proper subset of S in (size,
-mask) order, the equality fixing the sum of all sides, and |S| rows
-side - t <= 0; its cost is t.
+solve_box_system states the layout of the step LP.
 
 find_lambda is still the only function here that reads the cone: one
 membership test decides whether v is inside and must be shifted to be
@@ -37,8 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .boxgeom import Box, BoxUnionBody, disjoint_offset, projection_volume
-from .cone import build_bt_system, format_inequality, membership
+from .boxgeom import Box, BoxUnionBody, ProjectionProfile, disjoint_offset, log_projection_vector
+from .cone import build_bt_system, coefficients, format_inequality, membership
 from .core import (
     ProjectionVector,
     canonical_subset_order,
@@ -99,6 +94,8 @@ class RealizationResult:
     lam: Fraction
     target: ProjectionVector
     body: BoxUnionBody
+    #: the body's exact projection volumes and their logs
+    profile: ProjectionProfile
     steps: tuple[BoxSystem, ...]
     #: per-subset |log |T_A|  -  lam * target_A|
     residual_report: dict[int, Fraction]
@@ -135,10 +132,6 @@ def solve_box_system(ground: int, y: Mapping[int, Fraction]) -> BoxSystem:
         if y[a] <= 0:
             raise BoxSystemInfeasible(ground, f"target for {{{format_subset(a)}}} is not positive")
     m = ground.bit_count()
-    if m == 1:
-        vol = Fraction(y[ground])
-        return BoxSystem(ground, {ground: vol}, {elements(ground)[0]: vol})
-
     eta = {a: log_fraction(Fraction(y[a])) for a in members}
     # log sides are shifted by `big` so they are nonnegative LP variables;
     # the shift provably never binds
@@ -214,11 +207,7 @@ def realize_vector(v: ProjectionVector, lam) -> RealizationResult:
     steps: list[BoxSystem] = []
     raw_boxes: list[Box] = []
     for ground in reversed(canonical_subset_order(v.n)):
-        y = {}
-        for a in subsets_of(ground):
-            if targets[a] <= 0:
-                raise BoxSystemInfeasible(ground, "running target became nonpositive")
-            y[a] = targets[a] if a == ground else targets[a] / 2
+        y = {a: targets[a] if a == ground else targets[a] / 2 for a in subsets_of(ground)}
         bs = solve_box_system(ground, y)
         zero = Fraction(0)
         intervals = []
@@ -233,14 +222,12 @@ def realize_vector(v: ProjectionVector, lam) -> RealizationResult:
             targets[a] -= bs.z[a]
 
     body = disjoint_offset(raw_boxes)
-    report: dict[int, Fraction] = {}
-    for a in canonical_subset_order(v.n):
-        vol = projection_volume(body, a)
-        report[a] = abs(log_fraction(vol) - lam * v[a])
+    profile = log_projection_vector(body)
+    report = {a: abs(log - lam * v[a]) for a, log in profile.logs.items()}
     max_gap = max(report.values())
     if max_gap > DEFAULT_TOLERANCE:
         raise RuntimeError(f"realization drifted beyond tolerance: max gap {float(max_gap):.3g}")
-    return RealizationResult(lam, v, body, tuple(steps), report, max_gap)
+    return RealizationResult(lam, v, body, profile, tuple(steps), report, max_gap)
 
 
 def find_lambda(v: ProjectionVector, eps: Fraction, lambda_cap=DEFAULT_LAMBDA_CAP) -> RealizationResult:
@@ -259,7 +246,7 @@ def find_lambda(v: ProjectionVector, eps: Fraction, lambda_cap=DEFAULT_LAMBDA_CA
     if not report.inside:
         raise NotInConeError(
             f"vector violates {len(report.violated)} generator(s), e.g. "
-            + format_inequality(report.violated[0])
+            + format_inequality(coefficients(report.violated[0]))
         )
     return double_lambda(v.shift(eps) if report.tight else v, lambda_cap)
 

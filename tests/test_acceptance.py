@@ -114,7 +114,7 @@ def test_criterion_4_farkas_soundness():
             {m: F(-c) for m, c in coeffs.items() if c < 0},
         )
         result = check_implication(system, ineq)
-        assert isinstance(result, FarkasCertificate), format_inequality(g)
+        assert isinstance(result, FarkasCertificate), format_inequality(coeffs)
         recon = {}
         for idx, w in result.weights.items():
             for mask, c in coefficients(system.generators[idx]).items():

@@ -149,6 +149,26 @@ class TestImplyCommand:
         body = read_body((tmp_path / "body.json").read_text())
         assert body.n == 4
 
+    def test_emit_body_computes_each_volume_once(self, capsys, tmp_path, monkeypatch):
+        """The guess body's 15 projection volumes are computed once, by the
+        realization, and the violation check reads them from its profile."""
+        from covercone import boxgeom
+
+        real = boxgeom.projection_volume
+        calls = []
+
+        def counting(body, mask):
+            calls.append(mask)
+            return real(body, mask)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("covercone") and vars(module).get("projection_volume") is real:
+                monkeypatch.setattr(module, "projection_volume", counting)
+        path = write(tmp_path, "guess.json", GUESS)
+        code, _, _ = run(capsys, "imply", "--inequality", path, "--emit-body", str(tmp_path / "b.json"))
+        assert code == 1
+        assert sorted(calls) == list(range(1, 16))
+
 
 class TestRealizeCommand:
     def test_hand_case(self, capsys, tmp_path):

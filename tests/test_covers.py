@@ -7,6 +7,7 @@ from covercone.covers import (
     ResourceLimitError,
     UniformCover,
     _all_parts,
+    _irreducible_level,
     _search,
     cover_from_json,
     cover_to_obj,
@@ -167,6 +168,12 @@ class TestIrreducible:
         base = {c.parts for c in irreducible_covers(0b1111, 4)}
         extended = {c.parts for c in irreducible_covers(0b1111, 8)}
         assert base == extended
+
+    def test_small_grounds_have_no_irreducibles_above_size(self):
+        # why build_bt_system(n) may search each ground Y only up to k <= |Y|
+        for size in range(1, 4):
+            for k in range(size + 1, 6):
+                assert _irreducible_level(size, k) == ()
 
 
 class TestCoverValidation:

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import axiswise_disjoint, random_body, thicken
 from covercone.boxgeom import projection_volume, write_body
-from covercone.cone import build_bt_system, coefficients, membership
+from covercone.cone import build_bt_system, coefficients, format_inequality, membership
 from covercone.core import FormatError
 from covercone.farkas import (
     FarkasCertificate,
@@ -50,7 +50,7 @@ class TestLinearInequality:
         assert ineq.evaluate(v) == -1
 
     def test_format(self):
-        assert GUESS.format_text() == "1*1,2 + 1*2,3 + 1*3,4 >= 1*1,2,3 + 1*2,3,4"
+        assert format_inequality(GUESS.coefficient_map()) == "1*1,2 + 1*2,3 + 1*3,4 >= 1*1,2,3 + 1*2,3,4"
 
 
 class TestCheckImplication:

@@ -198,7 +198,8 @@ class TestMinimalityOracle:
     def test_sampled_steps(self, monkeypatch):
         """Every step of sampled n = 3 realizations, at each lambda find_lambda
         tries (the infeasible ones below the answer and the feasible answer),
-        agrees with the full step system and costs one LP when |ground| >= 2."""
+        gets positive targets, agrees with the full step system and costs one
+        LP, a one-element ground included."""
         steps = []
         lp_solves = [0]
         real_step = realize.solve_box_system
@@ -227,7 +228,8 @@ class TestMinimalityOracle:
         assert any(system is None for _, _, system, _ in steps)
         assert sum(system is not None for _, _, system, _ in steps) >= 4 * 7
         for ground, y, system, lp_count in steps:
-            assert lp_count == (1 if ground.bit_count() >= 2 else 0)
+            assert all(target > 0 for target in y.values())
+            assert lp_count == 1
             assert_matches_full_system(ground, y, system)
 
 
