@@ -83,22 +83,23 @@ def cmd_imply(args) -> int:
     ineq = farkas.read_inequality(_read_text(args.inequality))
     system = cone.build_bt_system(ineq.n, args.kmax)
     result = farkas.check_implication(system, ineq)
+    inequality = cone.format_inequality(ineq.coeffs)
     if isinstance(result, farkas.FarkasCertificate):
         _print({
-            "inequality": cone.format_inequality(ineq.coefficient_map()),
+            "inequality": inequality,
             "implied": True,
             "certificate": farkas.certificate_to_obj(system, result),
         })
         return 0
     out = {
-        "inequality": cone.format_inequality(ineq.coefficient_map()),
+        "inequality": inequality,
         "implied": False,
         "witness": vector_to_obj(result.vector),
         "violation_gap": format_rational(result.gap),
     }
     if args.emit_body:
         report = farkas.violating_body(ineq, result.vector)
-        Path(args.emit_body).write_text(boxgeom.write_body(report.body), encoding="utf-8")
+        Path(args.emit_body).write_text(boxgeom.write_body(report.realization.body), encoding="utf-8")
         out["body_file"] = args.emit_body
         out["body"] = {
             "lambda": format_rational(report.realization.lam),
@@ -231,9 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inequality", required=True)
     p.add_argument("--emit-body", default=None, help="write a violating body here")
     p.add_argument("--kmax", type=int, default=None,
-                   help="use only covers with k <= KMAX (default: the complete cone); below "
-                        "|Y| the cone is partial, so a certificate is still valid but a "
-                        "refutation may be wrong")
+                   help="use only covers with k <= KMAX (default: the complete cone, which "
+                        "any KMAX >= n also gives); below |Y| the cone is partial, so a "
+                        "certificate is still valid but a refutation may be wrong")
     p.set_defaults(func=cmd_imply)
 
     p = sub.add_parser("realize", help="construct a body for a scaled interior vector")

@@ -39,8 +39,8 @@ def margin(cover: UniformCover, v: ProjectionVector) -> Fraction:
 
 def format_inequality(coeffs: Mapping[int, Fraction]) -> str:
     """A netted mask -> coefficient map, as from `coefficients` or
-    LinearInequality.coefficient_map, read as coeffs . x >= 0 and printed
-    with each side in map order, e.g. `1*1 + 1*2 >= 1*1,2`."""
+    LinearInequality.coeffs, read as coeffs . x >= 0 and printed with each
+    side in map order, e.g. `1*1 + 1*2 >= 1*1,2`."""
     lhs = " + ".join(f"{format_rational(c)}*{format_subset(m)}" for m, c in coeffs.items() if c > 0)
     rhs = " + ".join(f"{format_rational(-c)}*{format_subset(m)}" for m, c in coeffs.items() if c < 0)
     return f"{lhs or 0} >= {rhs or 0}"
@@ -62,17 +62,18 @@ class MembershipReport:
     tight: tuple[UniformCover, ...]
 
 
-@lru_cache(maxsize=None)
 def build_bt_system(n: int, k_max: Optional[int] = None) -> ConeSystem:
     """All nontrivial irreducible cover inequalities over every Y subset [n].
 
-    k_max applies to every ground set; by default each Y searches k <= |Y|.
+    Each Y searches k <= min(k_max, |Y|); k <= |Y| (the default) is the
+    complete cone, so any k_max >= n gives the same system.
     """
     if not 1 <= n <= MAX_CONE_DIMENSION:
         raise ValueError(f"cone systems are limited to 1 <= n <= {MAX_CONE_DIMENSION}")
     generators = []
     for ground in canonical_subset_order(n):
-        for cover in irreducible_covers(ground, k_max):
+        size = ground.bit_count()
+        for cover in irreducible_covers(ground, size if k_max is None else min(k_max, size)):
             if not cover.trivial:
                 generators.append(cover)
     return ConeSystem(n, tuple(generators))

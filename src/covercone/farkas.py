@@ -17,7 +17,6 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping, Union
 
-from .boxgeom import BoxUnionBody
 from .cone import ConeSystem, coefficients, membership
 from .core import (
     FormatError,
@@ -36,18 +35,16 @@ from .simplex import INFEASIBLE, OPTIMAL, solve_equality_lp
 
 @dataclass(frozen=True)
 class LinearInequality:
-    """sum of lhs coefficients * x_A  >=  sum of rhs coefficients * x_B.
-
-    Both sides carry nonnegative coefficients and no subset appears on both
-    (common mass is cancelled on construction).
-    """
+    """coeffs . x >= 0, where coeffs is the netted mask -> coefficient map
+    (lhs minus rhs, nonzero, in mask order) that `cone.coefficients` gives a
+    generator."""
 
     n: int
-    lhs: tuple[tuple[int, Fraction], ...]
-    rhs: tuple[tuple[int, Fraction], ...]
+    coeffs: dict[int, Fraction]
 
     @classmethod
     def from_maps(cls, n: int, lhs: Mapping[int, Fraction], rhs: Mapping[int, Fraction]) -> "LinearInequality":
+        """lhs >= rhs from two maps of nonnegative coefficients; common mass cancels."""
         check_dimension(n)
         net: dict[int, Fraction] = {}
         for side, sign in ((lhs, 1), (rhs, -1)):
@@ -58,20 +55,11 @@ class LinearInequality:
                 if coeff < 0:
                     raise ValueError("coefficients must be nonnegative")
                 net[mask] = net.get(mask, Fraction(0)) + sign * coeff
-        left = tuple((m, c) for m, c in sorted(net.items()) if c > 0)
-        right = tuple((m, -c) for m, c in sorted(net.items()) if c < 0)
-        return cls(n, left, right)
-
-    def coefficient_map(self) -> dict[int, Fraction]:
-        """lhs minus rhs; the inequality reads coeffs . x >= 0."""
-        out = dict(self.lhs)
-        for mask, c in self.rhs:
-            out[mask] = out.get(mask, Fraction(0)) - c
-        return out
+        return cls(n, {m: c for m, c in sorted(net.items()) if c != 0})
 
     def evaluate(self, v: ProjectionVector) -> Fraction:
         """lhs(v) - rhs(v); negative means v violates the inequality."""
-        return sum((c * v[m] for m, c in self.coefficient_map().items()), Fraction(0))
+        return sum((c * v[m] for m, c in self.coeffs.items()), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -100,7 +88,7 @@ def check_implication(system: ConeSystem, ineq: LinearInequality) -> Union[Farka
     order = canonical_subset_order(system.n)
     index = {mask: i for i, mask in enumerate(order)}
     target = [Fraction(0)] * len(order)
-    for mask, c in ineq.coefficient_map().items():
+    for mask, c in ineq.coeffs.items():
         target[index[mask]] = c
     columns = [coefficients(g) for g in system.generators]
     rows = [[0] * len(columns) for _ in order]
@@ -135,13 +123,13 @@ def check_implication(system: ConeSystem, ineq: LinearInequality) -> Union[Farka
 
 @dataclass(frozen=True)
 class ViolationReport:
-    """A body refuting the candidate, with the exact integer-exponent check.
+    """A body (realization.body) refuting the candidate, with the exact
+    integer-exponent check.
 
     The candidate holds iff prod |T_A|^(scale*alpha_A) >= prod |T_B|^(scale*beta_B)
     where scale clears all coefficient denominators; violated means strict <.
     """
 
-    body: BoxUnionBody
     realization: RealizationResult
     shift_eps: Fraction
     exponent_scale: int
@@ -169,24 +157,23 @@ def violating_body(ineq: LinearInequality, witness: ProjectionVector) -> Violati
         raise ValueError("witness does not violate the inequality")
     # the shift moves the candidate's value by shift_eps * coeff_sum, which
     # leaves at least half of the violation
-    coeff_sum = sum(ineq.coefficient_map().values(), Fraction(0))
+    coeff_sum = sum(ineq.coeffs.values(), Fraction(0))
     if coeff_sum > 0:
         shift_eps = min(Fraction(1), -value / (2 * coeff_sum))
     else:
         shift_eps = Fraction(1)
     realization = double_lambda(witness.shift(shift_eps))
 
-    scale = lcm(*(c.denominator for _, c in ineq.lhs + ineq.rhs))
+    scale = lcm(*(c.denominator for c in ineq.coeffs.values()))
     volumes = realization.profile.volumes
-    lhs_product = Fraction(1)
-    for mask, c in ineq.lhs:
-        lhs_product *= volumes[mask] ** int(c * scale)
-    rhs_product = Fraction(1)
-    for mask, c in ineq.rhs:
-        rhs_product *= volumes[mask] ** int(c * scale)
-    out = ViolationReport(
-        realization.body, realization, shift_eps, scale, lhs_product, rhs_product
-    )
+    lhs_product = rhs_product = Fraction(1)
+    for mask, c in ineq.coeffs.items():
+        power = volumes[mask] ** int(abs(c) * scale)
+        if c > 0:
+            lhs_product *= power
+        else:
+            rhs_product *= power
+    out = ViolationReport(realization, shift_eps, scale, lhs_product, rhs_product)
     if not out.violated:
         raise RuntimeError("constructed body does not violate the inequality")
     return out
@@ -207,8 +194,8 @@ def write_inequality(ineq: LinearInequality) -> str:
     return json.dumps(
         {
             "n": ineq.n,
-            "lhs": {format_subset(m): format_rational(c) for m, c in ineq.lhs},
-            "rhs": {format_subset(m): format_rational(c) for m, c in ineq.rhs},
+            "lhs": {format_subset(m): format_rational(c) for m, c in ineq.coeffs.items() if c > 0},
+            "rhs": {format_subset(m): format_rational(-c) for m, c in ineq.coeffs.items() if c < 0},
         },
         indent=2,
     )

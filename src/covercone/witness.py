@@ -51,7 +51,6 @@ class SetFamily:
 
 @dataclass(frozen=True)
 class WitnessReport:
-    vector: ProjectionVector
     in_cone: bool
     tight: tuple[UniformCover, ...]
     obstruction_lhs: Fraction
@@ -90,7 +89,6 @@ def analyze_witness(v: ProjectionVector) -> WitnessReport:
     system = build_bt_system(v.n)
     report = membership(system, v)
     return WitnessReport(
-        vector=v,
         in_cone=report.inside,
         tight=report.tight,
         obstruction_lhs=v[_M123] - v[_M12],

@@ -133,10 +133,10 @@ def test_criterion_4_farkas_soundness():
     assert body_report.realization.lam == 8
     lhs = F(1)
     for mask in (0b0011, 0b0110, 0b1100):
-        lhs *= projection_volume(body_report.body, mask)
+        lhs *= projection_volume(body_report.realization.body, mask)
     rhs = F(1)
     for mask in (0b0111, 0b1110):
-        rhs *= projection_volume(body_report.body, mask)
+        rhs *= projection_volume(body_report.realization.body, mask)
     assert lhs < rhs
     elapsed = time.perf_counter() - start
     _report(4, f"{len(system.generators)} certificates exact; guess refuted by a body", elapsed, 20.0)

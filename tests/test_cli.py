@@ -149,6 +149,12 @@ class TestImplyCommand:
         body = read_body((tmp_path / "body.json").read_text())
         assert body.n == 4
 
+    @pytest.mark.parametrize("text", [LW4, GUESS], ids=["implied", "refuted"])
+    def test_kmax_past_n_is_the_complete_cone(self, capsys, tmp_path, text):
+        path = write(tmp_path, "in.json", text)
+        complete = run(capsys, "imply", "--inequality", path)
+        assert run(capsys, "imply", "--inequality", path, "--kmax", "8") == complete
+
     def test_emit_body_computes_each_volume_once(self, capsys, tmp_path, monkeypatch):
         """The guess body's 15 projection volumes are computed once, by the
         realization, and the violation check reads them from its profile."""

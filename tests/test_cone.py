@@ -46,6 +46,23 @@ class TestBuildSystem:
         with pytest.raises(ValueError):
             build_bt_system(7)
 
+    @pytest.mark.parametrize("k_max", [None, 2, 5, 12])
+    def test_no_ground_searched_past_its_size(self, monkeypatch, k_max):
+        """Each ground Y asks for k <= min(k_max, |Y|), the complete cone's
+        bound, so a k_max >= n adds no search."""
+        from covercone import cone
+
+        asked = {}
+
+        def spy(ground, bound=None):
+            asked[ground] = bound
+            return []
+
+        monkeypatch.setattr(cone, "irreducible_covers", spy)
+        assert build_bt_system(5, k_max).generators == ()
+        cap = 5 if k_max is None else k_max
+        assert asked == {g: min(cap, g.bit_count()) for g in range(1, 32)}
+
     @pytest.mark.parametrize("args,digest", [
         ((4,), "704cb10fa8d51784ea174fa536e547a45bde1cc1023d3da1a077cce29b32e3c8"),
         ((5, 3), "24883aa69cc04d2afc50d894ce87104e163a8f731f1433b1e7890747a17d97ff"),

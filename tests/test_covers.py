@@ -172,7 +172,7 @@ class TestIrreducible:
     def test_small_grounds_have_no_irreducibles_above_size(self):
         # why build_bt_system(n) may search each ground Y only up to k <= |Y|
         for size in range(1, 4):
-            for k in range(size + 1, 6):
+            for k in range(size + 1, 13):
                 assert _irreducible_level(size, k) == ()
 
 

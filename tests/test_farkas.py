@@ -35,8 +35,7 @@ def reconstruct(system, cert):
 class TestLinearInequality:
     def test_cancellation(self):
         ineq = LinearInequality.from_maps(2, {0b01: F(3), 0b10: F(1)}, {0b01: F(1)})
-        assert ineq.lhs == ((0b01, F(2)), (0b10, F(1)))
-        assert ineq.rhs == ()
+        assert ineq.coeffs == {0b01: F(2), 0b10: F(1)}
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -50,7 +49,7 @@ class TestLinearInequality:
         assert ineq.evaluate(v) == -1
 
     def test_format(self):
-        assert format_inequality(GUESS.coefficient_map()) == "1*1,2 + 1*2,3 + 1*3,4 >= 1*1,2,3 + 1*2,3,4"
+        assert format_inequality(GUESS.coeffs) == "1*1,2 + 1*2,3 + 1*3,4 >= 1*1,2,3 + 1*2,3,4"
 
 
 class TestCheckImplication:
@@ -61,7 +60,7 @@ class TestCheckImplication:
         )
         result = check_implication(system, ineq)
         assert isinstance(result, FarkasCertificate)
-        assert reconstruct(system, result) == ineq.coefficient_map()
+        assert reconstruct(system, result) == ineq.coeffs
         used = {system.generators[j].parts: w for j, w in result.weights.items()}
         assert used == {(0b001, 0b110): F(1), (0b010, 0b101): F(1)}
 
@@ -111,7 +110,7 @@ class TestCheckImplication:
         )
         result = check_implication(system, ineq)
         assert isinstance(result, FarkasCertificate)
-        assert reconstruct(system, result) == ineq.coefficient_map()
+        assert reconstruct(system, result) == ineq.coeffs
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -149,18 +148,18 @@ class TestViolatingBody:
         # recompute the exact products independently of the report
         lhs = F(1)
         for mask in (0b0011, 0b0110, 0b1100):
-            lhs *= projection_volume(report.body, mask)
+            lhs *= projection_volume(report.realization.body, mask)
         rhs = F(1)
         for mask in (0b0111, 0b1110):
-            rhs *= projection_volume(report.body, mask)
+            rhs *= projection_volume(report.realization.body, mask)
         assert lhs < rhs
-        assert axiswise_disjoint(report.body)
+        assert axiswise_disjoint(report.realization.body)
 
     def test_guess_body_pinned(self):
         system = build_bt_system(4)
         report = violating_body(GUESS, check_implication(system, GUESS).vector)
         assert report.realization.lam == 8
-        digest = hashlib.sha256(write_body(report.body).encode()).hexdigest()
+        digest = hashlib.sha256(write_body(report.realization.body).encode()).hexdigest()
         assert digest == "aa9dae8f190d4d1c190b7253d50d06bf70cf2c294e23b82bdd83a77f59a61e83"
 
     def test_reversed_generator_body(self):
@@ -169,7 +168,7 @@ class TestViolatingBody:
         witness = check_implication(system, ineq)
         report = violating_body(ineq, witness.vector)
         assert report.violated
-        vol = lambda m: projection_volume(report.body, m)
+        vol = lambda m: projection_volume(report.realization.body, m)
         assert vol(0b11) < vol(0b01) * vol(0b10)
 
     def test_reads_the_cone_once(self, monkeypatch):

@@ -33,10 +33,14 @@ def vectors(draw):
 
 
 @st.composite
-def inequalities(draw):
+def inequality_sides(draw):
     n = draw(dims)
     side = st.dictionaries(masks(n), nonneg)
-    return LinearInequality.from_maps(n, draw(side), draw(side))
+    return n, draw(side), draw(side)
+
+
+def inequalities():
+    return inequality_sides().map(lambda sides: LinearInequality.from_maps(*sides))
 
 
 @st.composite
@@ -124,6 +128,18 @@ def test_one_value_replaced(name, data):
         target = target[key]
     target[last] = data.draw(json_values)
     parses_or_format_error(read, json.dumps(obj))
+
+
+@given(sides=inequality_sides())
+def test_inequality_coeffs_are_netted(sides):
+    """coeffs is lhs - rhs, netted, nonzero and in ascending mask order, and
+    the written file reads back to the same map in the same order."""
+    n, lhs, rhs = sides
+    ineq = LinearInequality.from_maps(n, lhs, rhs)
+    net = ((m, lhs.get(m, 0) - rhs.get(m, 0)) for m in sorted(lhs.keys() | rhs.keys()))
+    assert list(ineq.coeffs.items()) == [(m, c) for m, c in net if c != 0]
+    again = read_inequality(write_inequality(ineq))
+    assert list(again.coeffs.items()) == list(ineq.coeffs.items())
 
 
 DEEP = "[" * 100000 + "]" * 100000
