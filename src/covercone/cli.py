@@ -95,7 +95,7 @@ def cmd_imply(args) -> int:
         "inequality": inequality,
         "implied": False,
         "witness": vector_to_obj(result.vector),
-        "violation_gap": format_rational(result.gap),
+        "violation_gap": format_rational(-ineq.evaluate(result.vector)),
     }
     if args.emit_body:
         report = farkas.violating_body(ineq, result.vector)
@@ -131,7 +131,7 @@ def cmd_realize(args) -> int:
         "realized": True,
         "lambda": format_rational(result.lam),
         "body_file": args.out,
-        "max_gap": _gap(result.max_gap),
+        "max_gap": _gap(max(result.residual_report.values())),
         "gaps": {format_subset(m): _gap(g) for m, g in result.residual_report.items()},
         # volumes can exceed float range at large lambda; report their logs
         "steps": [

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping, Optional
 
 from .core import ProjectionVector, canonical_subset_order, format_rational, format_subset

@@ -71,10 +71,9 @@ class FarkasCertificate:
 
 @dataclass(frozen=True)
 class SeparatingWitness:
-    """A cone vector violating the candidate, scaled to a gap of exactly 1."""
+    """A cone vector on which the candidate evaluates to exactly -1."""
 
     vector: ProjectionVector
-    gap: Fraction
 
 
 def check_implication(system: ConeSystem, ineq: LinearInequality) -> Union[FarkasCertificate, SeparatingWitness]:
@@ -118,7 +117,7 @@ def check_implication(system: ConeSystem, ineq: LinearInequality) -> Union[Farka
     value = ineq.evaluate(witness)
     if value != -1:
         raise RuntimeError(f"witness normalization failed: gap {value}")
-    return SeparatingWitness(witness, Fraction(1))
+    return SeparatingWitness(witness)
 
 
 @dataclass(frozen=True)

@@ -56,20 +56,14 @@ class NotInConeError(ValueError):
 class BoxSystemInfeasible(Exception):
     """A step system has no solution; the scaling factor is too small."""
 
-    def __init__(self, ground: int, detail: str = ""):
-        self.ground = ground
-        msg = f"box system for ground {{{format_subset(ground)}}} is infeasible"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
+    def __init__(self, ground: int):
+        super().__init__(f"box system for ground {{{format_subset(ground)}}} is infeasible")
 
 
 class InconclusiveError(RuntimeError):
     """The doubling search hit the cap; realizability remains undecided."""
 
     def __init__(self, lambda_cap: Fraction, last: Optional[BoxSystemInfeasible]):
-        self.lambda_cap = lambda_cap
-        self.last = last
         super().__init__(
             f"no realization found with lambda <= {lambda_cap}"
             + (f" (last failure: {last})" if last else "")
@@ -92,14 +86,12 @@ class BoxSystem:
 @dataclass(frozen=True)
 class RealizationResult:
     lam: Fraction
-    target: ProjectionVector
     body: BoxUnionBody
     #: the body's exact projection volumes and their logs
     profile: ProjectionProfile
     steps: tuple[BoxSystem, ...]
-    #: per-subset |log |T_A|  -  lam * target_A|
+    #: per-subset |log |T_A|  -  lam * v_A|, v the vector realized
     residual_report: dict[int, Fraction]
-    max_gap: Fraction
 
 
 def solve_box_system(ground: int, y: Mapping[int, Fraction]) -> BoxSystem:
@@ -129,8 +121,6 @@ def solve_box_system(ground: int, y: Mapping[int, Fraction]) -> BoxSystem:
     for a in members:
         if a not in y:
             raise ValueError(f"missing target for subset {{{format_subset(a)}}}")
-        if y[a] <= 0:
-            raise BoxSystemInfeasible(ground, f"target for {{{format_subset(a)}}} is not positive")
     m = ground.bit_count()
     eta = {a: log_fraction(Fraction(y[a])) for a in members}
     # log sides are shifted by `big` so they are nonnegative LP variables;
@@ -227,7 +217,7 @@ def realize_vector(v: ProjectionVector, lam) -> RealizationResult:
     max_gap = max(report.values())
     if max_gap > DEFAULT_TOLERANCE:
         raise RuntimeError(f"realization drifted beyond tolerance: max gap {float(max_gap):.3g}")
-    return RealizationResult(lam, v, body, profile, tuple(steps), report, max_gap)
+    return RealizationResult(lam, body, profile, tuple(steps), report)
 
 
 def find_lambda(v: ProjectionVector, eps: Fraction, lambda_cap=DEFAULT_LAMBDA_CAP) -> RealizationResult:

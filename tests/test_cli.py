@@ -12,6 +12,7 @@ import pytest
 import covercone
 from covercone.boxgeom import read_body, write_body, BoxUnionBody, Box
 from covercone.cli import build_parser, main
+from covercone.cone import build_bt_system
 from covercone.core import read_vector, write_vector, ProjectionVector
 
 
@@ -252,6 +253,17 @@ class TestCoversCommand:
         code, out, _ = run(capsys, "covers", "--ground", "1,2", "--kmax", "1")
         data = json.loads(out)
         assert [c["parts"] for c in data["covers"]] == [["1,2"], ["1", "2"]]
+
+
+class TestSystemCommand:
+    def test_n1_prints_nothing(self, capsys):
+        assert run(capsys, "system", "--n", "1") == (0, "", "")
+
+    def test_n3_prints_the_h_representation(self, capsys):
+        code, out, err = run(capsys, "system", "--n", "3")
+        assert (code, err) == (0, "")
+        assert out == build_bt_system(3).h_representation() + "\n"
+        assert out.count("\n") == 8
 
 
 class TestShearerCommand:

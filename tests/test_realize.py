@@ -239,7 +239,7 @@ class TestRealizeVector:
         e2 = exp_fraction(F(2))
         for mask in canonical_subset_order(2):
             assert projection_volume(result.body, mask) == e2
-        assert result.max_gap <= TOL
+        assert max(result.residual_report.values()) <= TOL
         assert len(result.body.boxes) == 3
         assert axiswise_disjoint(result.body)
 
@@ -294,7 +294,7 @@ class TestFindLambda:
         v = ProjectionVector.from_entries(3, {m: F(1) for m in range(1, 8)})
         result = find_lambda(v, F(1, 4), 64)
         assert result.lam <= 8
-        assert result.max_gap <= TOL
+        assert max(result.residual_report.values()) <= TOL
         for mask in canonical_subset_order(3):
             achieved = log_fraction(projection_volume(result.body, mask))
             assert abs(achieved - result.lam * v[mask]) <= TOL
@@ -306,8 +306,9 @@ class TestFindLambda:
 
     def test_interior_shift_applied_on_boundary(self):
         result = find_lambda(ProjectionVector.zero(2), F(1), 64)
-        assert result.target == ONES2
         assert result.lam == 2
+        for mask in canonical_subset_order(2):
+            assert result.profile.volumes[mask] == exp_fraction(result.lam * ONES2[mask])
 
     def test_nonpositive_eps_rejected(self):
         # rejected even on a strict vector, which needs no shift
@@ -347,7 +348,9 @@ class TestFindLambda:
         """Hash of the body find_lambda builds for each pinned n = 4 vector."""
         v, shifted, lam, digest = PINNED_BODIES[name]
         result = find_lambda(v, F(1, 4))
-        assert (result.target != v) == shifted
+        w = v.shift(F(1, 4)) if shifted else v
+        for mask in canonical_subset_order(4):
+            assert result.profile.volumes[mask] == exp_fraction(lam * w[mask])
         assert result.lam == lam
         assert hashlib.sha256(write_body(result.body).encode()).hexdigest() == digest
 
@@ -365,8 +368,8 @@ class TestFindLambda:
         for _ in range(3):
             v = sample_bt3_vector(rng).shift(F(1, 4))
             result = find_lambda(v, F(1, 4), 64)
-            doubled = realize_vector(result.target, result.lam * 2)
-            assert doubled.max_gap <= TOL
+            doubled = realize_vector(v, result.lam * 2)
+            assert max(doubled.residual_report.values()) <= TOL
 
 
 class TestRoundTrip:
@@ -375,11 +378,12 @@ class TestRoundTrip:
         v = sample_bt3_vector(random.Random(23)).shift(F(1, 4))
         result = find_lambda(v, F(1, 4), 64)
         for mask in canonical_subset_order(3):
-            expected = exp_fraction(result.lam * result.target[mask])
+            expected = exp_fraction(result.lam * v[mask])
             assert projection_volume(result.body, mask) == expected
 
     def test_residual_report_matches_gaps(self):
         v = sample_bt3_vector(random.Random(29)).shift(F(1, 4))
         result = find_lambda(v, F(1, 4), 64)
-        assert result.max_gap == max(result.residual_report.values())
         assert set(result.residual_report) == set(canonical_subset_order(3))
+        for mask, gap in result.residual_report.items():
+            assert gap == abs(result.profile.logs[mask] - result.lam * v[mask])

@@ -1,0 +1,59 @@
+"""Static checks on the package source, parsed with the stdlib ast module.
+
+No linter is a test dependency, so these stand in for the two rules the
+package keeps: every imported name is used, and each public name has one
+import path, its defining module (the package itself re-exports nothing).
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).parent.parent
+PACKAGE = ROOT / "src" / "covercone"
+MODULES = sorted(PACKAGE.glob("*.py"))
+SUBMODULES = {path.stem for path in MODULES} - {"__init__", "__main__"}
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    tree = _tree(path)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+    assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def test_package_holds_only_its_docstring():
+    body = _tree(PACKAGE / "__init__.py").body
+    assert len(body) == 1
+    assert isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant)
+    assert isinstance(body[0].value.value, str)
+
+
+def test_package_names_are_imported_from_their_modules():
+    """`from covercone import X` (or `from . import X` inside the package)
+    names only submodules, never a function or class."""
+    paths = [*MODULES, *(ROOT / "tests").glob("*.py"), *(ROOT / "bench").glob("*.py")]
+    bad = []
+    for path in paths:
+        for node in ast.walk(_tree(path)):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            package = node.module == "covercone" and node.level == 0
+            relative = node.module is None and node.level == 1 and path.parent == PACKAGE
+            if package or relative:
+                bad += [f"{path.name}: {a.name}" for a in node.names if a.name not in SUBMODULES]
+    assert not bad, f"non-module names imported from the package: {', '.join(bad)}"
