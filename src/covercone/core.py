@@ -57,7 +57,14 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(q: Fraction) -> str:
-    return str(q)
+    """q as "p/q" or an integer; RuntimeError when a term is past the interpreter's
+    limit on integer digits, which parse_rational could not read back."""
+    try:
+        return str(q)
+    except ValueError:
+        bits = max(q.numerator.bit_length(), q.denominator.bit_length())
+        raise RuntimeError(f"cannot write a rational with a {bits}-bit term: "
+                           "past the interpreter's limit on integer digits") from None
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,10 @@ feasible step is always of this form.  tests/test_realize.py checks the
 theorem against the full step system on sampled steps.
 
 All volume bookkeeping is exact rational; logs/exps are evaluated at
-LOG_DIGITS significant digits, and a final exact rescale of one side makes
-each step consume its ground target exactly.
+LOG_DIGITS significant digits.  Each side is the exp of its LP log side, so
+a step consumes its ground target only to a factor 1 +- _SLACK; the running
+targets carry the difference on exactly, and the final check against
+lambda*v is the arbiter.
 """
 
 from __future__ import annotations
@@ -115,6 +117,8 @@ def solve_box_system(ground: int, y: Mapping[int, Fraction]) -> BoxSystem:
                subset A in (size, mask) order; sum of all sides = log y_ground;
                side_i - t + slack = 0, for each of the m sides
       cost     1 on t, 0 everywhere else
+    Each returned side is exp_fraction of its LP log side, so z_ground equals
+    y_ground, and every other z_A stays below y_A, up to a factor 1 +- _SLACK.
     Raises BoxSystemInfeasible when no such sides exist.
     """
     members = sorted(subsets_of(ground), key=lambda m: (m.bit_count(), m))
@@ -151,13 +155,6 @@ def solve_box_system(ground: int, y: Mapping[int, Fraction]) -> BoxSystem:
     if res.status != OPTIMAL:
         raise RuntimeError(f"step LP unexpectedly {res.status}")
     sides = {e: exp_fraction(res.x[i] - big) for i, e in enumerate(elements(ground))}
-    # exact consumption: rescale one side so the ground product equals y_ground
-    last = elements(ground)[-1]
-    prod = Fraction(1)
-    for e in elements(ground):
-        prod *= sides[e]
-    sides[last] *= Fraction(y[ground]) / prod
-
     z: dict[int, Fraction] = {}
     for a in members:
         vol = Fraction(1)
@@ -172,8 +169,8 @@ _SLACK = Fraction(1, 10**15)
 
 
 def _check_solution(ground, y, z) -> None:
-    if z[ground] != y[ground]:
-        raise RuntimeError("ground target not consumed exactly")
+    if abs(z[ground] - y[ground]) > y[ground] * _SLACK:
+        raise RuntimeError("ground target not consumed within slack")
     for a, vol in z.items():
         if vol <= 0:
             raise RuntimeError(f"nonpositive volume on {{{format_subset(a)}}}")

@@ -28,7 +28,7 @@ from covercone.farkas import (
     check_implication,
     violating_body,
 )
-from covercone.realize import BoxSystemInfeasible, find_lambda, realize_vector
+from covercone.realize import _SLACK, BoxSystemInfeasible, find_lambda, realize_vector
 from covercone.witness import SetFamily, shearer_check
 
 TOL = F(1, 10**6)
@@ -159,7 +159,7 @@ def test_criterion_5_realization_round_trip():
     result = realize_vector(ones, 2)
     e2 = exp_fraction(F(2))
     for mask in canonical_subset_order(2):
-        assert projection_volume(result.body, mask) == e2
+        assert abs(projection_volume(result.body, mask) / e2 - 1) <= _SLACK
     try:
         realize_vector(ones, 1)
         raise AssertionError("lambda = 1 must be infeasible for the all-ones pair vector")

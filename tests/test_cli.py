@@ -365,8 +365,11 @@ class TestUsageErrors:
          (["realize", "--vector", "in.json", "--out", "b.json"],
           "in.json", '{"n":1,"entries":{"1":"10000000"}}'),
          (["realize", "--vector", "in.json", "--out", "b.json"],
-          "in.json", '{"n":1,"entries":{"1":"-10000000"}}')],
-        ids=["emit-body-inconclusive", "exp-overflow", "exp-underflow"],
+          "in.json", '{"n":1,"entries":{"1":"-10000000"}}'),
+         # a valid vector whose body has a term past the interpreter's digit limit
+         (["realize", "--vector", "in.json", "--out", "b.json"],
+          "in.json", '{"n":2,"entries":{"1":"12000","2":"12000","1,2":"12000"}}')],
+        ids=["emit-body-inconclusive", "exp-overflow", "exp-underflow", "body-past-digit-limit"],
     )
     def test_gives_up_with_one_error_line(self, tmp_path, argv, name, text):
         env = dict(os.environ, PYTHONPATH=str(Path(covercone.__file__).parent.parent))
@@ -378,6 +381,7 @@ class TestUsageErrors:
         assert proc.stderr.startswith("error: ")
         assert proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "b.json").exists()
 
     @pytest.mark.parametrize("argv, stdout_closed, code", [
         (["member", "--vector", "."], False, 2),

@@ -159,7 +159,7 @@ class TestViolatingBody:
         report = violating_body(GUESS, check_implication(system, GUESS).vector)
         assert report.realization.lam == 8
         digest = hashlib.sha256(write_body(report.realization.body).encode()).hexdigest()
-        assert digest == "aa9dae8f190d4d1c190b7253d50d06bf70cf2c294e23b82bdd83a77f59a61e83"
+        assert digest == "9bbfe858e2dea8510dc0b7477c71cc0ace1cac6acb2f721670bb7f277d4f879c"
 
     def test_reversed_generator_body(self):
         system = build_bt_system(2)

@@ -1,12 +1,13 @@
 import hashlib
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 
 from conftest import axiswise_disjoint, sample_bt3_vector
 from covercone import cone, realize
-from covercone.boxgeom import projection_volume, write_body
+from covercone.boxgeom import projection_volume, read_body, write_body
 from covercone.cone import build_bt_system, membership
 from covercone.core import (
     ProjectionVector,
@@ -18,9 +19,11 @@ from covercone.core import (
 )
 from covercone.covers import irreducible_covers
 from covercone.realize import (
+    _SLACK,
     BoxSystemInfeasible,
     InconclusiveError,
     NotInConeError,
+    double_lambda,
     find_lambda,
     realize_vector,
     solve_box_system,
@@ -30,6 +33,11 @@ from covercone.witness import theorem9_vector
 
 ONES2 = ProjectionVector.from_entries(2, {m: F(1) for m in range(1, 4)})
 TOL = F(1, 10**6)
+
+
+def assert_within_slack(got, want):
+    """got matches want to a factor 1 +- _SLACK, compared exactly."""
+    assert abs(F(got) / F(want) - 1) <= _SLACK
 
 
 #: (ground, targets) of the hand-built step systems
@@ -92,12 +100,14 @@ def assert_matches_full_system(ground, y, system):
     """The minimality theorem on one step: the full system is feasible exactly
     when solve_box_system returned `system` (None when it raised), its
     minimum is 2^(m-1) log y_ground at a product-form point, and the returned
-    z meets every irreducible cover with equality."""
+    z consumes y_ground within _SLACK and meets every irreducible cover of its
+    own z_ground with equality."""
     status, zeta, minimum = full_step_system(ground, y)
     if system is None:
         assert status == INFEASIBLE
         return
     assert status == OPTIMAL
+    assert_within_slack(system.z[ground], y[ground])
     m = ground.bit_count()
     assert minimum == (1 << (m - 1)) * log_fraction(F(y[ground]))
     for a in zeta:
@@ -106,7 +116,7 @@ def assert_matches_full_system(ground, y, system):
         prod = F(1)
         for part in cover.parts:
             prod *= system.z[part]
-        assert prod == y[ground] ** cover.k
+        assert prod == system.z[ground] ** cover.k
 
 
 class TestInteriorShift:
@@ -147,8 +157,8 @@ class TestSolveBoxSystem:
     def test_symmetric_pair(self):
         e2 = exp_fraction(F(2))
         system = solve_box_system(*HAND_CASES["symmetric_pair"])
-        assert system.z[0b11] == e2
-        assert system.z[0b01] * system.z[0b10] == e2
+        assert_within_slack(system.z[0b11], e2)
+        assert system.z[0b01] * system.z[0b10] == system.z[0b11]
         assert system.z[0b01] <= e2 / 2 and system.z[0b10] <= e2 / 2
         e = exp_fraction(F(1))
         assert abs(system.z[0b01] - e) < F(1, 10**20)
@@ -157,8 +167,8 @@ class TestSolveBoxSystem:
     def test_singleton_ground(self):
         c = F(7, 3)
         system = solve_box_system(*HAND_CASES["singleton"])
-        assert system.z == {0b1: c}
-        assert system.sides == {1: c}
+        assert system.z == {0b1: system.sides[1]}
+        assert_within_slack(system.sides[1], c)
 
     def test_infeasible_pair(self):
         with pytest.raises(BoxSystemInfeasible):
@@ -167,18 +177,19 @@ class TestSolveBoxSystem:
     def test_asymmetric_caps(self):
         e3 = exp_fraction(F(3))
         system = solve_box_system(*HAND_CASES["asymmetric_caps"])
-        assert system.z[0b01] * system.z[0b10] == e3
+        assert system.z[0b01] * system.z[0b10] == system.z[0b11]
+        assert_within_slack(system.z[0b11], e3)
         assert system.z[0b01] <= 2
 
     def test_triple_ground(self):
         e4 = exp_fraction(F(4))
         ground, y = HAND_CASES["triple_ground"]
         system = solve_box_system(ground, y)
-        assert system.z[0b111] == e4
+        assert_within_slack(system.z[0b111], e4)
         prod = system.z[0b001] * system.z[0b010] * system.z[0b100]
-        assert prod == e4
+        assert prod == system.z[0b111]
         for m in range(1, 7):
-            assert system.z[m] <= y[m] * (1 + F(1, 10**15))
+            assert system.z[m] <= y[m] * (1 + _SLACK)
 
     def test_missing_target(self):
         with pytest.raises(ValueError):
@@ -238,7 +249,7 @@ class TestRealizeVector:
         result = realize_vector(ONES2, 2)
         e2 = exp_fraction(F(2))
         for mask in canonical_subset_order(2):
-            assert projection_volume(result.body, mask) == e2
+            assert_within_slack(projection_volume(result.body, mask), e2)
         assert max(result.residual_report.values()) <= TOL
         assert len(result.body.boxes) == 3
         assert axiswise_disjoint(result.body)
@@ -278,10 +289,10 @@ def modular_plus_one(weights):
 PINNED_BODIES = {
     # the theorem 9 vector is tight, so find_lambda shifts it
     "theorem9": (theorem9_vector(4), True, 16,
-                 "b10ba516a343af73524d019ce776336fcc7a15f550bbc43eb751e0fb1c956539"),
+                 "da22762ef72c2f6d0e39aa7f596ddd7226e1456d4eaf63be302efee078f63a19"),
     # the shape of the benchmark's realize queries, realized as given
     "modular_plus_one": (modular_plus_one((F(3, 4), F(-1, 2), F(1), F(-5, 4))), False, 4,
-                         "238f9e1c73ca17e033d0043e9c24120ef040cd40832c605857bf1b2192fcfc38"),
+                         "d24fd154b345d618e64ef2c83844131b56c276844ea720876755715ee8f9f3d0"),
 }
 
 
@@ -308,7 +319,7 @@ class TestFindLambda:
         result = find_lambda(ProjectionVector.zero(2), F(1), 64)
         assert result.lam == 2
         for mask in canonical_subset_order(2):
-            assert result.profile.volumes[mask] == exp_fraction(result.lam * ONES2[mask])
+            assert_within_slack(result.profile.volumes[mask], exp_fraction(result.lam * ONES2[mask]))
 
     def test_nonpositive_eps_rejected(self):
         # rejected even on a strict vector, which needs no shift
@@ -350,7 +361,7 @@ class TestFindLambda:
         result = find_lambda(v, F(1, 4))
         w = v.shift(F(1, 4)) if shifted else v
         for mask in canonical_subset_order(4):
-            assert result.profile.volumes[mask] == exp_fraction(lam * w[mask])
+            assert_within_slack(result.profile.volumes[mask], exp_fraction(lam * w[mask]))
         assert result.lam == lam
         assert hashlib.sha256(write_body(result.body).encode()).hexdigest() == digest
 
@@ -374,12 +385,12 @@ class TestFindLambda:
 
 class TestRoundTrip:
     def test_exact_volume_bookkeeping(self):
-        # achieved volumes equal the rationalized targets exactly
+        # achieved volumes match the rationalized targets within _SLACK
         v = sample_bt3_vector(random.Random(23)).shift(F(1, 4))
         result = find_lambda(v, F(1, 4), 64)
         for mask in canonical_subset_order(3):
             expected = exp_fraction(result.lam * v[mask])
-            assert projection_volume(result.body, mask) == expected
+            assert_within_slack(projection_volume(result.body, mask), expected)
 
     def test_residual_report_matches_gaps(self):
         v = sample_bt3_vector(random.Random(29)).shift(F(1, 4))
@@ -387,3 +398,35 @@ class TestRoundTrip:
         assert set(result.residual_report) == set(canonical_subset_order(3))
         for mask, gap in result.residual_report.items():
             assert gap == abs(result.profile.logs[mask] - result.lam * v[mask])
+
+
+def endpoint_bits(q):
+    """Size of an endpoint: the bit length of the larger of its two terms."""
+    return max(q.numerator.bit_length(), q.denominator.bit_length())
+
+
+class TestBodySize:
+    """Each side is a LOG_DIGITS-digit exp and nothing more, so an endpoint's
+    size follows its magnitude, not the sides placed before it."""
+
+    def test_closure_sequence(self):
+        """The tight theorem 9 vector v is a limit of realized bodies: v + 2^-j
+        realizes at lambda = 4 * 2^j, and every endpoint has at most 2M + 128
+        bits, M the largest magnitude in bits of a nonzero endpoint."""
+        v = theorem9_vector(4)
+        for j in range(9):
+            result = double_lambda(v.shift(F(1, 2**j)))
+            assert result.lam == 4 * 2**j
+            ends = [x for box in result.body.boxes for iv in box.intervals for x in iv]
+            magnitude = max(abs(q.numerator.bit_length() - q.denominator.bit_length()) for q in ends if q)
+            assert max(map(endpoint_bits, ends)) <= 2 * magnitude + 128
+
+    def test_n7_body_round_trips(self):
+        """An n = 7 body stays under the interpreter's 4300-digit limit, so
+        write_body prints it and read_body reads the same body back."""
+        start = time.perf_counter()
+        weights = (F(3, 4), F(-1, 2), F(1), F(-5, 4), F(1, 3), F(2, 5), F(-1, 7))
+        result = double_lambda(modular_plus_one(weights).shift(F(-1, 2)))
+        assert result.lam == 32
+        assert read_body(write_body(result.body)) == result.body
+        assert time.perf_counter() - start < 20
