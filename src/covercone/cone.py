@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Optional
 
 from .core import ProjectionVector, canonical_subset_order, format_rational, format_subset
@@ -31,9 +32,12 @@ def coefficients(cover: UniformCover) -> dict[int, int]:
     return {mask: c for mask, c in sorted(coeffs.items()) if c != 0}
 
 
-def margin(cover: UniformCover, v: ProjectionVector) -> Fraction:
-    """sum_i v_{Y_i} - k*v_Y; nonnegative iff the inequality holds at v."""
-    return sum((v[part] for part in cover.parts), Fraction(0)) - cover.k * v[cover.ground]
+def margin(cover: UniformCover, v: Mapping[int, Fraction] | ProjectionVector) -> Fraction | int:
+    """sum_i v_{Y_i} - k*v_Y; nonnegative iff the inequality holds at v.
+
+    v maps each mask to an int or a Fraction; the margin is of the same kind.
+    """
+    return sum(v[part] for part in cover.parts) - cover.k * v[cover.ground]
 
 
 def format_inequality(coeffs: Mapping[int, Fraction]) -> str:
@@ -79,13 +83,19 @@ def build_bt_system(n: int, k_max: Optional[int] = None) -> ConeSystem:
 
 
 def membership(system: ConeSystem, v: ProjectionVector) -> MembershipReport:
-    """Exact evaluation of every generator; inside iff none is violated."""
+    """Exact evaluation of every generator; inside iff none is violated.
+
+    v is scaled once by the lcm of its denominators, which keeps every
+    margin's sign, so each generator is evaluated in integers.
+    """
     if v.n != system.n:
         raise ValueError(f"vector dimension {v.n} != system dimension {system.n}")
+    scale = lcm(*(q.denominator for q in v.entries.values()))
+    scaled = {mask: q.numerator * (scale // q.denominator) for mask, q in v.entries.items()}
     violated = []
     tight = []
     for g in system.generators:
-        m = margin(g, v)
+        m = margin(g, scaled)
         if m < 0:
             violated.append(g)
         elif m == 0:

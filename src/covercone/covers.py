@@ -11,6 +11,12 @@ One search serves all three tasks: it picks sub-multisets of a pool of
 Enumeration searches the pool of all subsets of Y, decomposition the
 cover's own parts, and irreducibility the pool of all subsets while
 avoiding the irreducible covers of multiplicity at most k//2.
+
+Relabeling the elements maps irreducible covers to irreducible covers, so
+each level of them is a union of orbits.  For |Y| <= 5 and k <= |Y| (every
+level a cone system reads) the levels are expanded from a table of one
+cover per orbit, which the tests rebuild from the search; any other level
+is searched.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 from typing import Optional
 
 from .core import FormatError, MAX_DIMENSION, format_subset, load_object, parse_subset, subsets_of
@@ -225,12 +232,78 @@ def decompose(cover: UniformCover) -> Optional[tuple[UniformCover, UniformCover]
     return None
 
 
+#: One irreducible k-uniform cover of {1..size} per orbit of relabelings, for
+#: every size <= 5 and k <= size: the first cover of its orbit in level order,
+#: each part written as its elements.  tests/test_covers.py rebuilds it from
+#: _search.
+_ORBIT_REPRESENTATIVES: dict[tuple[int, int], tuple[str, ...]] = {
+    (1, 1): ("1",),
+    (2, 1): ("12", "1 2"),
+    (2, 2): (),
+    (3, 1): ("123", "1 23", "1 2 3"),
+    (3, 2): ("12 13 23",),
+    (3, 3): (),
+    (4, 1): ("1234", "1 234", "12 34", "1 2 34", "1 2 3 4"),
+    (4, 2): ("12 134 234", "1 23 24 134", "1 1 23 24 34"),
+    (4, 3): ("123 124 134 234", "12 13 14 234 234"),
+    (4, 4): (),
+    (5, 1): ("12345", "1 2345", "12 345", "1 2 345", "1 23 45", "1 2 3 45", "1 2 3 4 5"),
+    (5, 2): (
+        "12 1345 2345", "123 145 2345", "1 23 245 1345", "1 123 245 345", "12 13 45 2345",
+        "12 34 135 245", "1 1 23 245 345", "1 2 34 35 1245", "1 2 34 135 245", "1 12 34 35 245",
+        "12 12 34 35 45", "12 13 24 35 45", "1 1 2 34 35 245", "1 2 12 34 35 45",
+        "1 1 2 2 34 35 45",
+    ),
+    (5, 3): (
+        "123 1245 1345 2345", "1 234 235 1245 1345", "12 13 145 2345 2345", "12 34 135 1245 2345",
+        "12 134 135 245 2345", "123 123 145 245 345", "123 124 135 245 345",
+        "1 1 234 235 245 1345", "1 12 34 235 245 1345", "1 23 24 25 1345 1345",
+        "1 23 24 125 345 1345", "1 23 124 125 345 345", "1 23 124 135 245 345",
+        "12 12 34 35 145 2345", "12 13 24 35 145 2345", "12 13 45 234 235 145",
+        "1 1 1 234 235 245 345", "1 1 23 24 25 345 1345", "1 1 23 24 125 345 345",
+        "1 2 34 35 123 145 245", "1 12 13 45 45 234 235", "12 12 13 34 45 45 235",
+        "12 13 14 25 35 45 234", "1 1 1 23 24 25 345 345",
+    ),
+    (5, 4): (
+        "1234 1235 1245 1345 2345", "12 134 135 1245 2345 2345", "123 124 125 345 1345 2345",
+        "1 12 234 235 245 1345 1345", "12 12 34 135 145 2345 2345", "12 13 14 15 2345 2345 2345",
+        "12 13 45 234 235 1245 1345", "12 13 234 235 145 145 2345", "12 134 134 135 235 245 245",
+        "12 134 234 135 235 145 245", "1 23 24 134 125 125 345 345", "12 12 13 45 45 234 235 1345",
+        "12 12 12 34 34 35 35 145 245",
+    ),
+    (5, 5): (
+        "123 124 125 1345 1345 2345 2345", "12 12 134 135 145 2345 2345 2345",
+        "12 13 234 234 235 235 145 145 145",
+    ),
+}
+
+
+def _relabelings(size: int, representatives) -> set[tuple[int, ...]]:
+    """Every image of the representatives under a permutation of {1..size}."""
+    covers = [[sum(1 << int(e) - 1 for e in part) for part in rep.split()] for rep in representatives]
+    found = set()
+    for perm in permutations(range(size)):
+        image = [0]
+        for target in perm:
+            image += [mask | 1 << target for mask in image]
+        for parts in covers:
+            found.add(tuple(sorted([image[p] for p in parts], key=_part_key)))
+    return found
+
+
 @lru_cache(maxsize=None)
 def _irreducible_level(size: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """The parts of each irreducible k-uniform cover of {1..size}, in sort_key order."""
-    ground = (1 << size) - 1
-    avoid = [parts for j in range(1, k // 2 + 1) for parts in _irreducible_level(size, j)]
-    found = _search(ground, _all_parts(ground, k), k, avoid)
+    """The parts of each irreducible k-uniform cover of {1..size}, in sort_key order.
+
+    A level in _ORBIT_REPRESENTATIVES is expanded from it; any other is searched.
+    """
+    representatives = _ORBIT_REPRESENTATIVES.get((size, k))
+    if representatives is not None:
+        found = _relabelings(size, representatives)
+    else:
+        ground = (1 << size) - 1
+        avoid = [parts for j in range(1, k // 2 + 1) for parts in _irreducible_level(size, j)]
+        found = _search(ground, _all_parts(ground, k), k, avoid)
     return tuple(sorted(found, key=lambda parts: (len(parts), [_part_key(p) for p in parts])))
 
 
@@ -243,9 +316,11 @@ def irreducible_covers(ground: int, k_max: Optional[int] = None) -> list[Uniform
     multiplicity <= k/2 splits on down into irreducible covers, each
     contained in C; conversely such a cover is a proper uniform
     sub-multiset of C.)  So level k is the search of all k-uniform covers
-    avoiding levels 1..k//2.  It is searched once per ground size, on
-    {1..|ground|}, and mapped onto the ground by the increasing bijection of
-    elements, which keeps the order of parts and of covers.
+    avoiding levels 1..k//2.  It is built once per ground size, on
+    {1..|ground|}: expanded from _ORBIT_REPRESENTATIVES when |ground| <= 5
+    and k <= |ground|, searched otherwise.  It is mapped onto the ground by
+    the increasing bijection of elements, which keeps the order of parts and
+    of covers.
 
     k_max defaults to |ground| (no new irreducible covers appear above that
     for the ground sizes this artifact targets; validated by tests).

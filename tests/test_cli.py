@@ -56,9 +56,15 @@ OUTSIDE4 = '{"n":4,"entries":{"1":"1","2":"1","3":"1","4":"1","1,2":"3","2,3,4":
     (["imply", "--inequality", "LW4"], 0, "c5757ef940dbe89abe5926de7112c2164141d7ac0923754b8481eb979b5c18a5"),
     (["imply", "--inequality", "GUESS5", "--kmax", "3"], 1,
      "b471a19c30ea7ecd3b75ee552dd6c4c1573409de31e6b6d45e99089327bdb0e0"),
-], ids=["witness-n4", "member-outside", "imply-loomis-whitney", "imply-n5-kmax3"])
+    # the complete n = 5 cone refutes the guess by the same certificate as k <= 3
+    (["imply", "--inequality", "GUESS5"], 1, "b471a19c30ea7ecd3b75ee552dd6c4c1573409de31e6b6d45e99089327bdb0e0"),
+    # 2146 inequalities, one a line
+    (["system", "--n", "5"], 0, "d8bced25c84316f0e70db4a54ab2b618dcbc7adab64f703c85e5e8cba76df73b"),
+    (["witness", "--n", "5"], 0, "07adcbec001d2b01bec1a6e3945de970295294e260c523f24fb0e8f06fecb5f2"),
+], ids=["witness-n4", "member-outside", "imply-loomis-whitney", "imply-n5-kmax3", "imply-n5", "system-n5",
+        "witness-n5"])
 def test_cover_output_pinned(capsys, tmp_path, argv, code, digest):
-    """stdout listing cover objects (tight, violated, certificate) is byte-stable."""
+    """stdout listing cover objects (tight, violated, certificate) or the system is byte-stable."""
     files = {"OUTSIDE4": OUTSIDE4, "LW4": LW4, "GUESS5": GUESS5}
     argv = [write(tmp_path, f"{a}.json", files[a]) if a in files else a for a in argv]
     got, out, _ = run(capsys, *argv)

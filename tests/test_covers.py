@@ -1,13 +1,17 @@
 import json
+from functools import lru_cache
+from itertools import permutations
 
 import pytest
 
 from conftest import oracle_all_covers, oracle_irreducible_covers
 from covercone.covers import (
+    _ORBIT_REPRESENTATIVES,
     ResourceLimitError,
     UniformCover,
     _all_parts,
     _irreducible_level,
+    _part_key,
     _search,
     cover_from_json,
     cover_to_obj,
@@ -23,6 +27,28 @@ def cover(ground, *parts, k=None):
     if k is not None:
         assert c.k == k
     return c
+
+
+@lru_cache(maxsize=None)
+def searched_level(size, k):
+    """Level k of {1..size} by the search alone, avoiding searched levels 1..k//2."""
+    ground = (1 << size) - 1
+    avoid = [parts for j in range(1, k // 2 + 1) for parts in searched_level(size, j)]
+    found = _search(ground, _all_parts(ground, k), k, avoid)
+    return tuple(sorted(found, key=lambda parts: UniformCover(ground, k, parts).sort_key()))
+
+
+def orbit(size, parts):
+    """Every relabeling of a part tuple by a permutation of {1..size}, parts sorted."""
+    return {
+        tuple(sorted((sum(1 << perm[e] for e in range(size) if p >> e & 1) for p in parts), key=_part_key))
+        for perm in permutations(range(size))
+    }
+
+
+def spell(parts):
+    """A part tuple as the table writes it, e.g. (3, 5, 6) -> "12 13 23"."""
+    return " ".join("".join(str(e + 1) for e in range(p.bit_length()) if p >> e & 1) for p in parts)
 
 
 class TestEnumerate:
@@ -158,11 +184,36 @@ class TestIrreducible:
         with pytest.raises(ResourceLimitError):
             irreducible_covers((1 << 16) - 1, 16)
 
+    def test_orbit_table_spans_every_level_up_to_size_five(self):
+        assert set(_ORBIT_REPRESENTATIVES) == {(size, k) for size in range(1, 6) for k in range(1, size + 1)}
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+    def test_orbit_table_matches_the_search(self, size):
+        # size 5 searches levels 4 and 5 (~10 s): the only proof of the table
+        for k in range(1, size + 1):
+            level = searched_level(size, k)
+            assert _irreducible_level(size, k) == level
+            first, orbits, seen = [], [], set()
+            for parts in level:
+                if parts not in seen:
+                    first.append(parts)
+                    orbits.append(orbit(size, parts))
+                    seen |= orbits[-1]
+            assert _ORBIT_REPRESENTATIVES[size, k] == tuple(spell(parts) for parts in first)
+            # the representatives' orbits are disjoint and make up the level
+            assert sum(map(len, orbits)) == len(seen) == len(level)
+
     def test_ground_size_four_counts(self):
         by_k = {}
         for c in irreducible_covers(0b1111, 4):
             by_k[c.k] = by_k.get(c.k, 0) + 1
         assert by_k == {1: 15, 2: 22, 3: 5}
+
+    def test_ground_size_five_counts(self):
+        by_k = {}
+        for c in irreducible_covers(0b11111):
+            by_k[c.k] = by_k.get(c.k, 0) + 1
+        assert by_k == {1: 52, 2: 457, 3: 877, 4: 436, 5: 60}
 
     def test_no_new_irreducibles_size_four(self):
         base = {c.parts for c in irreducible_covers(0b1111, 4)}

@@ -86,9 +86,8 @@ class TestAnalyzeWitness:
         assert report.obstruction_holds
 
     def test_embedding_consistency(self):
-        # k <= 3 keeps the n = 5 build cheap; the complete one takes ~12 s
-        small = membership(build_bt_system(4, 3), theorem9_vector(4))
-        large = membership(build_bt_system(5, 3), theorem9_vector(5))
+        small = membership(build_bt_system(4), theorem9_vector(4))
+        large = membership(build_bt_system(5), theorem9_vector(5))
         assert large.inside == small.inside
         inside4 = mask_of(1, 2, 3, 4)
         restricted = {g for g in large.tight if g.ground & ~inside4 == 0}
