@@ -3,11 +3,15 @@
 Given v satisfying every nontrivial irreducible cover inequality strictly,
 some multiple lambda*v is the log projection vector of a finite union of
 boxes.  The construction walks the nonempty subsets S of [n] from largest to
-smallest; at each step it solves one linear program over the |S| sidelengths
-of a box living in Span(S), subtracts that box's projection volumes from the
-running targets, and finally places all boxes disjointly.  lambda is found by
-doubling; failure at the cap is inconclusive, never a non-realizability claim.
-solve_box_system states the layout of the step LP.
+smallest; at each step it finds the |S| sidelengths of a box living in
+Span(S), subtracts that box's projection volumes from the running targets,
+and finally places all boxes disjointly.  lambda is found by doubling;
+failure at the cap is inconclusive, never a non-realizability claim.
+
+Each step is one LP over log values, solved as its dual with |S| + 1 rows
+(layout in solve_box_system): the log sides are the optimal duals of its
+element rows, and sum to the log target of S exactly.  The dual is always
+feasible, so it is unbounded exactly when the step is infeasible.
 
 find_lambda is still the only function here that reads the cone: one
 membership test decides whether v is inside and must be shifted to be
@@ -45,7 +49,7 @@ from .core import (
     log_fraction,
     subsets_of,
 )
-from .simplex import INFEASIBLE, OPTIMAL, solve_equality_lp
+from .simplex import OPTIMAL, UNBOUNDED, solve_equality_lp
 
 DEFAULT_LAMBDA_CAP = 1024
 DEFAULT_TOLERANCE = Fraction(1, 10**6)
@@ -106,20 +110,24 @@ def solve_box_system(ground: int, y: Mapping[int, Fraction]) -> BoxSystem:
     Its minimal solution is in product form, z_A = prod of sides over A, with
     prod of all sides = y_ground.  Such a z meets (ii) and (iii) with
     equality, since each element lies in k parts of a k-uniform cover, so
-    the system is feasible exactly when some sides satisfy (i) with that
-    product.  One LP over the m = |ground| log sides finds them; it minimizes
-    the largest side t, which makes symmetric inputs yield symmetric sides.
-    It is one solve_equality_lp call over log values, each side (and t)
-    shifted up by `big` so that x >= 0:
-      columns  the m log sides in element order, t, then one slack per
-               inequality row in row order
-      rows     sum of the sides in A + slack = log y_A, for each proper
-               subset A in (size, mask) order; sum of all sides = log y_ground;
-               side_i - t + slack = 0, for each of the m sides
-      cost     1 on t, 0 everywhere else
-    Each returned side is exp_fraction of its LP log side, so z_ground equals
-    y_ground, and every other z_A stays below y_A, up to a factor 1 +- _SLACK.
-    Raises BoxSystemInfeasible when no such sides exist.
+    the system is feasible exactly when some log sides s satisfy (i) with
+    that product: s(A) <= eta_A for each proper subset A and s(ground) =
+    eta_ground, where eta = log y and s(A) sums s over A.  The step LP,
+    min t over such s with every s_i <= t, is solved as its dual, in one
+    solve_equality_lp call with |ground| + 1 rows:
+      rows     sum of mu_A over proper A containing i, + pi_i - nu = 0, for
+               each element i in element order; then sum of all pi_i = 1
+      columns  mu_A for each proper subset A in (size, mask) order, then
+               pi_i in element order, then nu
+      cost     eta_A on mu_A, 0 on pi_i, -eta_ground on nu
+    s_i is the optimal dual of row i (t is minus that of the last row).
+    The element rows sum to |ground| nu = 1 + sum of |A| mu_A, so nu > 0
+    at every feasible point, the duals meet the nu column with equality,
+    and s(ground) = eta_ground holds exactly.  The dual is always feasible
+    (mu = 0, pi_i = nu = 1/|ground|), so it is unbounded exactly when the
+    step is infeasible: BoxSystemInfeasible.  Each returned side is
+    exp_fraction of its log side, so z_ground equals y_ground, and every
+    other z_A stays below y_A, up to a factor 1 +- _SLACK.
     """
     members = sorted(subsets_of(ground), key=lambda m: (m.bit_count(), m))
     for a in members:
@@ -127,34 +135,20 @@ def solve_box_system(ground: int, y: Mapping[int, Fraction]) -> BoxSystem:
             raise ValueError(f"missing target for subset {{{format_subset(a)}}}")
     m = ground.bit_count()
     eta = {a: log_fraction(Fraction(y[a])) for a in members}
-    # log sides are shifted by `big` so they are nonnegative LP variables;
-    # the shift provably never binds
-    big = 2 * max(abs(e) for e in eta.values()) + 4
     caps = members[:-1]  # the proper subsets; the ground sorts last
     zero, one = Fraction(0), Fraction(1)
-    width = 2 * m + 1 + len(caps)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for i, a in enumerate(members):
-        row = [one if a >> (e - 1) & 1 else zero for e in elements(ground)]
-        row += [zero] * (width - m)
-        if a != ground:
-            row[m + 1 + i] = one
-        rows.append(row)
-        rhs.append(eta[a] + a.bit_count() * big)
-    for j in range(m):
-        row = [zero] * width
-        row[j], row[m], row[m + 1 + len(caps) + j] = one, -one, one
-        rows.append(row)
-        rhs.append(zero)
-    cost = [zero] * width
-    cost[m] = one
-    res = solve_equality_lp(rows, rhs, cost)
-    if res.status == INFEASIBLE:
+    rows = [
+        [one if a >> (e - 1) & 1 else zero for a in caps] + [one if k == j else zero for k in range(m)] + [-one]
+        for j, e in enumerate(elements(ground))
+    ]
+    rows.append([zero] * len(caps) + [one] * m + [zero])
+    cost = [eta[a] for a in caps] + [zero] * m + [-eta[ground]]
+    res = solve_equality_lp(rows, [zero] * m + [one], cost)
+    if res.status == UNBOUNDED:
         raise BoxSystemInfeasible(ground)
     if res.status != OPTIMAL:
         raise RuntimeError(f"step LP unexpectedly {res.status}")
-    sides = {e: exp_fraction(res.x[i] - big) for i, e in enumerate(elements(ground))}
+    sides = {e: exp_fraction(s) for e, s in zip(elements(ground), res.duals)}
     z: dict[int, Fraction] = {}
     for a in members:
         vol = Fraction(1)

@@ -2,7 +2,8 @@
 
 Solves  min c.x  subject to  A x = b, x >= 0  exactly and deterministically.
 On an infeasible system the phase-1 dual is returned as a Farkas certificate:
-a vector y with y.b > 0 and y.A_j <= 0 for every column j.
+a vector y with y.b > 0 and y.A_j <= 0 for every column j.  At an optimum the
+phase-2 dual y = c_B B^-1 is returned: y.A_j <= c_j for all j, y.b = c.x.
 
 A, b and c are scaled once by K, L and M, each the lcm of its denominators,
 so the pivot loop runs on Python ints.  Rows are negated where b_i < 0, one
@@ -15,10 +16,10 @@ smallest basic index.  The pivot keeps row r and sets each other row of adj
 and X to (a_r row_i - a_i row_r) / D, an exact division, as the result is an
 adjugate; then D = |a_r|, negating row r if a_r < 0.  A positive scale per
 object flips no reduced cost and reorders no ratios, so the pivots are the
-full tableau's, and so are x = K X/(D L), the objective and the Farkas dual
-sigma P/D, the only Fractions formed.  A redundant row keeps its artificial
-basic at level zero: the row is zero on every original column, so that
-artificial never leaves.
+full tableau's, and so are x = K X/(D L), the objective, the Farkas dual
+sigma P/D and the optimal dual sigma K P/(D M), the only Fractions formed.
+A redundant row keeps its artificial basic at level zero: the row is zero on
+every original column, so that artificial never leaves.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ class LPResult:
     objective: Optional[Fraction] = None
     #: on INFEASIBLE: y with y.b > 0 and y.A_j <= 0 for all j
     farkas_dual: Optional[list[Fraction]] = None
+    #: on OPTIMAL: the phase-2 dual y, with y.A_j <= c_j for all j and y.b = objective
+    duals: Optional[list[Fraction]] = None
     #: basis changes made in phase 1, while driving out artificials, and in phase 2
     pivots: int = 0
 
@@ -100,7 +103,8 @@ def solve_equality_lp(
         if j < nvars:
             x[j] = Fraction(K * v, lp.D * L)
     objective = Fraction(K * sum(phase2[j] * v for j, v in zip(lp.basis, lp.X)), M * lp.D * L)
-    return LPResult(OPTIMAL, x=x, objective=objective, pivots=lp.pivots)
+    duals = [Fraction(s * K * p, lp.D * M) for s, p in zip(sigma, lp.duals(phase2))]
+    return LPResult(OPTIMAL, x=x, objective=objective, duals=duals, pivots=lp.pivots)
 
 
 class _RevisedSimplex:

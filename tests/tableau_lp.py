@@ -3,8 +3,10 @@
 The dense two-phase tableau that covercone.simplex used before its revised
 form, kept only as an oracle: same Bland's rule, same ratio-test tie-break,
 same phase-1 Farkas dual, so on every LP it must give exactly the same
-status, x, objective, Farkas dual and pivot count.  It deletes redundant
-rows where the revised form keeps their artificials basic at level zero.
+status, x, objective, Farkas dual, optimal dual and pivot count.  It deletes
+redundant rows where the revised form keeps their artificials basic at level
+zero.  The optimal dual is read off the phase-2 reduced costs of the
+artificial columns, which the tableau keeps for every row, dropped or not.
 """
 
 from __future__ import annotations
@@ -81,13 +83,12 @@ def tableau_lp(
     for r in reversed(drop):
         del tab[r]
         del basis[r]
-    m = len(tab)
 
     # phase 2 on the original columns only
     zrow = [_ZERO] * (ncols + 1)
     for j in range(nvars):
         zrow[j] = Fraction(cost[j])
-    for i in range(m):
+    for i in range(len(tab)):
         cb = cost[basis[i]] if basis[i] < nvars else _ZERO
         if cb != 0:
             row = tab[i]
@@ -102,10 +103,12 @@ def tableau_lp(
         return LPResult(UNBOUNDED, pivots=count[0])
 
     x = [_ZERO] * nvars
-    for r in range(m):
+    for r in range(len(tab)):
         if basis[r] < nvars:
             x[basis[r]] = tab[r][ncols]
-    return LPResult(OPTIMAL, x=x, objective=-zrow[ncols], pivots=count[0])
+    # an artificial column costs 0 in phase 2, so its reduced cost is -y_i
+    y = [-sigma[i] * zrow[nvars + i] for i in range(m)]
+    return LPResult(OPTIMAL, x=x, objective=-zrow[ncols], duals=y, pivots=count[0])
 
 
 def _pivot_until_optimal(tab, zrow, basis, entering_limit: int, budget: list, count: list) -> bool:

@@ -292,7 +292,7 @@ PINNED_BODIES = {
                  "da22762ef72c2f6d0e39aa7f596ddd7226e1456d4eaf63be302efee078f63a19"),
     # the shape of the benchmark's realize queries, realized as given
     "modular_plus_one": (modular_plus_one((F(3, 4), F(-1, 2), F(1), F(-5, 4))), False, 4,
-                         "d24fd154b345d618e64ef2c83844131b56c276844ea720876755715ee8f9f3d0"),
+                         "b70006308aaf8e526e76b0156c8f686085983e6bea8761a6ca984e51ac418b54"),
 }
 
 
@@ -421,12 +421,19 @@ class TestBodySize:
             magnitude = max(abs(q.numerator.bit_length() - q.denominator.bit_length()) for q in ends if q)
             assert max(map(endpoint_bits, ends)) <= 2 * magnitude + 128
 
-    def test_n7_body_round_trips(self):
-        """An n = 7 body stays under the interpreter's 4300-digit limit, so
-        write_body prints it and read_body reads the same body back."""
+    def assert_round_trips(self, n, lam):
+        """An n-d body of 1/2 + modular stays under the interpreter's
+        4300-digit limit, so write_body prints it and read_body reads the
+        same body back, all within 20 s."""
         start = time.perf_counter()
-        weights = (F(3, 4), F(-1, 2), F(1), F(-5, 4), F(1, 3), F(2, 5), F(-1, 7))
-        result = double_lambda(modular_plus_one(weights).shift(F(-1, 2)))
-        assert result.lam == 32
+        weights = (F(3, 4), F(-1, 2), F(1), F(-5, 4), F(1, 3), F(2, 5), F(-1, 7), F(2, 3))
+        result = double_lambda(modular_plus_one(weights[:n]).shift(F(-1, 2)))
+        assert result.lam == lam
         assert read_body(write_body(result.body)) == result.body
         assert time.perf_counter() - start < 20
+
+    def test_n7_body_round_trips(self):
+        self.assert_round_trips(7, 16)
+
+    def test_n8_body_round_trips(self):
+        self.assert_round_trips(8, 32)

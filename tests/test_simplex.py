@@ -158,12 +158,18 @@ def test_large_denominators_match_tableau(lp):
 
 
 def check_against_linprog(rows, rhs, cost, res):
-    """Exact certificate checks, then status and value against HiGHS in floats."""
+    """Exact certificate checks, then status, value and dual against HiGHS in
+    floats.  An optimal dual is unique, and so comparable, when as many x_j
+    are positive as there are rows: those columns are then a basis, and
+    complementary slackness fixes y on it.  Returns whether y was compared."""
     cols = range(len(cost))
     if res.status == OPTIMAL:
         assert all(v >= 0 for v in res.x)
         assert [sum(r[j] * res.x[j] for j in cols) for r in rows] == list(rhs)
         assert sum(c * v for c, v in zip(cost, res.x)) == res.objective
+        y = res.duals
+        assert all(sum(yi * r[j] for yi, r in zip(y, rows)) <= cost[j] for j in cols)
+        assert sum(yi * bi for yi, bi in zip(y, rhs)) == res.objective
     if res.status == INFEASIBLE:
         y = res.farkas_dual
         assert sum(yi * bi for yi, bi in zip(y, rhs)) > 0
@@ -178,6 +184,10 @@ def check_against_linprog(rows, rhs, cost, res):
     assert {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}.get(ref.status) == res.status
     if res.status == OPTIMAL:
         assert ref.fun == pytest.approx(float(res.objective), rel=1e-9, abs=1e-9)
+        if sum(v > 0 for v in res.x) == len(rows):
+            assert list(ref.eqlin.marginals) == pytest.approx([float(v) for v in res.duals], rel=1e-9, abs=1e-9)
+            return True
+    return False
 
 
 @settings(max_examples=200, deadline=None)
@@ -214,11 +224,13 @@ def test_real_lps_match_tableau(monkeypatch, capsys, tmp_path):
     )
     farkas.check_implication(build_bt_system(5, 3), guess5)
 
-    assert {res.status for _, res in solved} == {OPTIMAL, INFEASIBLE}
+    assert {res.status for _, res in solved} == {OPTIMAL, INFEASIBLE, UNBOUNDED}
     assert max(len(args[0][0]) for args, _ in solved) == 1650
+    compared = 0
     for args, res in solved:
         assert res == tableau_lp(*args)
-        check_against_linprog(*args, res)
+        compared += check_against_linprog(*args, res)
+    assert compared > 0
 
 
 def exact_det(matrix) -> F:
