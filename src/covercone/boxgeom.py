@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import floor
 from typing import Optional, Sequence
 
 from .core import (
@@ -139,7 +140,8 @@ def log_projection_vector(body: BoxUnionBody) -> ProjectionProfile:
 def disjoint_offset(boxes: Sequence[Box]) -> BoxUnionBody:
     """Translate each box along the diagonal so all coordinate intervals are
     pairwise disjoint; projections onto every subspace are then disjoint and
-    measures add.  The first box is kept in place."""
+    measures add.  The first box stays; each later one starts at the least
+    integer above the largest endpoint so far, so its shift adds no new denominator."""
     if not boxes:
         raise ValueError("need at least one box")
     n = boxes[0].n
@@ -152,7 +154,7 @@ def disjoint_offset(boxes: Sequence[Box]) -> BoxUnionBody:
             shifted = box
         else:
             lo_min = min(lo for lo, _ in box.intervals)
-            shifted = box.translate(top + 1 - lo_min)
+            shifted = box.translate(floor(top) + 1 - lo_min)
         out.append(shifted)
         hi_max = max(hi for _, hi in shifted.intervals)
         top = hi_max if top is None else max(top, hi_max)

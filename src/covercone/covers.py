@@ -17,6 +17,10 @@ each level of them is a union of orbits.  For |Y| <= 5 and k <= |Y| (every
 level a cone system reads) the levels are expanded from a table of one
 cover per orbit, which the tests rebuild from the search; any other level
 is searched.
+
+A cover is checked once, where it enters: UniformCover.from_parts, behind
+cover files and decompose.  The search and the table yield covers that are
+ordered, inside the ground and uniform; the tests pass each back through it.
 """
 
 from __future__ import annotations
@@ -43,25 +47,14 @@ def _part_key(mask: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class UniformCover:
-    """A k-uniform cover; parts are kept sorted by (size, bits)."""
+    """A k-uniform cover; parts are kept sorted by (size, bits).
+
+    A plain record, checked only by from_parts (see the module docstring).
+    """
 
     ground: int
     k: int
     parts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.ground == 0:
-            raise ValueError("ground set must be nonempty")
-        if not self.parts:
-            raise ValueError("cover needs at least one part")
-        if list(self.parts) != sorted(self.parts, key=_part_key):
-            raise ValueError("parts not in canonical order")
-        counts = _coverage(self.ground, self.parts)
-        for part in self.parts:
-            if part == 0 or part & ~self.ground:
-                raise ValueError(f"part {format_subset(part)} not a nonempty subset of ground")
-        if any(c != self.k for c in counts):
-            raise ValueError("cover is not uniform with the stated multiplicity")
 
     @classmethod
     def from_parts(cls, ground: int, parts) -> "UniformCover":
@@ -70,6 +63,9 @@ class UniformCover:
         counts = _coverage(ground, parts)
         if not counts or len(set(counts)) != 1 or counts[0] == 0:
             raise ValueError("part multiset does not cover the ground uniformly")
+        for part in parts:
+            if part == 0 or part & ~ground:
+                raise ValueError(f"part {format_subset(part)} not a nonempty subset of ground")
         return cls(ground, counts[0], parts)
 
     @property
@@ -83,16 +79,7 @@ class UniformCover:
 
 def _coverage(ground: int, parts) -> list[int]:
     """Per-element coverage counts, in ascending element order."""
-    counts = []
-    e = 0
-    g = ground
-    while g:
-        if g & 1:
-            bit = 1 << e
-            counts.append(sum(1 for p in parts if p & bit))
-        g >>= 1
-        e += 1
-    return counts
+    return [sum(1 for p in parts if p >> e & 1) for e in range(ground.bit_length()) if ground >> e & 1]
 
 
 def check_k_max(ground: int, k_max: Optional[int]) -> int:
@@ -278,14 +265,20 @@ _ORBIT_REPRESENTATIVES: dict[tuple[int, int], tuple[str, ...]] = {
 }
 
 
+def _subset_images(targets) -> list[int]:
+    """image[m] is the mask of bits targets[i] for the bits i of m, m < 2^len(targets)."""
+    image = [0]
+    for target in targets:
+        image += [mask | 1 << target for mask in image]
+    return image
+
+
 def _relabelings(size: int, representatives) -> set[tuple[int, ...]]:
     """Every image of the representatives under a permutation of {1..size}."""
     covers = [[sum(1 << int(e) - 1 for e in part) for part in rep.split()] for rep in representatives]
     found = set()
     for perm in permutations(range(size)):
-        image = [0]
-        for target in perm:
-            image += [mask | 1 << target for mask in image]
+        image = _subset_images(perm)
         for parts in covers:
             found.add(tuple(sorted([image[p] for p in parts], key=_part_key)))
     return found
@@ -316,22 +309,18 @@ def irreducible_covers(ground: int, k_max: Optional[int] = None) -> list[Uniform
     multiplicity <= k/2 splits on down into irreducible covers, each
     contained in C; conversely such a cover is a proper uniform
     sub-multiset of C.)  So level k is the search of all k-uniform covers
-    avoiding levels 1..k//2.  It is built once per ground size, on
-    {1..|ground|}: expanded from _ORBIT_REPRESENTATIVES when |ground| <= 5
-    and k <= |ground|, searched otherwise.  It is mapped onto the ground by
-    the increasing bijection of elements, which keeps the order of parts and
-    of covers.
-
-    k_max defaults to |ground| (no new irreducible covers appear above that
-    for the ground sizes this artifact targets; validated by tests).
+    avoiding levels 1..k//2.  Each level is built once per ground size, on
+    {1..|ground|} (_irreducible_level), and mapped onto the ground by the
+    increasing bijection of elements, which keeps the order of parts and of
+    covers.  k_max defaults to |ground|, above which the tests find no new
+    irreducible cover.
     """
     k_max = check_k_max(ground, k_max)
-    bits = [1 << e for e in range(MAX_DIMENSION) if ground >> e & 1]
-    image = [sum(b for i, b in enumerate(bits) if part >> i & 1) for part in range(1 << len(bits))]
+    image = _subset_images([e for e in range(MAX_DIMENSION) if ground >> e & 1])
     return [
         UniformCover(ground, k, tuple(image[p] for p in parts))
         for k in range(1, k_max + 1)
-        for parts in _irreducible_level(len(bits), k)
+        for parts in _irreducible_level(ground.bit_count(), k)
     ]
 
 

@@ -5,6 +5,7 @@ from itertools import permutations
 import pytest
 
 from conftest import oracle_all_covers, oracle_irreducible_covers
+from covercone.cone import build_bt_system
 from covercone.covers import (
     _ORBIT_REPRESENTATIVES,
     ResourceLimitError,
@@ -227,13 +228,34 @@ class TestIrreducible:
                 assert _irreducible_level(size, k) == ()
 
 
+class TestGeneratedCovers:
+    """Generated covers skip from_parts; each must be one it would return."""
+
+    @staticmethod
+    def assert_checked(covers):
+        for c in covers:
+            assert UniformCover.from_parts(c.ground, c.parts) == c
+
+    @pytest.mark.parametrize("k_max", [None, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_cone_generators(self, n, k_max):
+        self.assert_checked(build_bt_system(n, k_max).generators)
+
+    def test_irreducible_covers_of_every_ground_of_five(self):
+        for ground in range(1, 1 << 5):
+            self.assert_checked(irreducible_covers(ground))
+
+    def test_enumerated_covers(self):
+        self.assert_checked(enumerate_covers(0b1111, 3))
+
+
 class TestCoverValidation:
     def test_rejects_non_uniform(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^part multiset does not cover the ground uniformly$"):
             UniformCover.from_parts(0b111, [0b001, 0b011])
 
     def test_rejects_part_outside_ground(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^part 3 not a nonempty subset of ground$"):
             UniformCover.from_parts(0b011, [0b100, 0b011])
 
     def test_trivial_flag(self):
@@ -256,5 +278,9 @@ class TestCoverFiles:
             cover_from_json('{"ground":"1,2","k":2,"parts":["1,2"]}')
 
     def test_rejects_non_uniform_parts(self):
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="^part multiset does not cover the ground uniformly$"):
             cover_from_json('{"ground":"1,2,3","k":1,"parts":["1,2","1,3"]}')
+
+    def test_rejects_part_outside_ground(self):
+        with pytest.raises(FormatError, match="^part 3 not a nonempty subset of ground$"):
+            cover_from_json('{"ground":"1,2","k":1,"parts":["3","1,2"]}')

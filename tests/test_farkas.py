@@ -159,7 +159,7 @@ class TestViolatingBody:
         report = violating_body(GUESS, check_implication(system, GUESS).vector)
         assert report.realization.lam == 8
         digest = hashlib.sha256(write_body(report.realization.body).encode()).hexdigest()
-        assert digest == "9bbfe858e2dea8510dc0b7477c71cc0ace1cac6acb2f721670bb7f277d4f879c"
+        assert digest == "680cd4ef11a1f8d4735364b3eec1b6218c0da28b646da38e1654388951922b67"
 
     def test_reversed_generator_body(self):
         system = build_bt_system(2)
