@@ -9,10 +9,10 @@ stated decimal precision.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import floor
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .core import (
     FormatError,
@@ -27,18 +27,18 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(namedtuple("Box", "intervals")):
     """Product of closed rational intervals, one per axis; lo == hi is allowed."""
 
-    intervals: tuple[tuple[Fraction, Fraction], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.intervals:
+    def __new__(cls, intervals: tuple[tuple[Fraction, Fraction], ...]) -> "Box":
+        if not intervals:
             raise ValueError("box needs at least one axis")
-        for lo, hi in self.intervals:
+        for lo, hi in intervals:
             if lo > hi:
                 raise ValueError(f"empty interval [{lo}, {hi}]")
+        return super().__new__(cls, intervals)
 
     @property
     def n(self) -> int:
@@ -48,18 +48,17 @@ class Box:
         return Box(tuple((lo + shift, hi + shift) for lo, hi in self.intervals))
 
 
-@dataclass(frozen=True)
-class BoxUnionBody:
-    n: int
-    boxes: tuple[Box, ...]
+class BoxUnionBody(namedtuple("BoxUnionBody", "n boxes")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        check_dimension(self.n)
-        if not self.boxes:
+    def __new__(cls, n: int, boxes: tuple[Box, ...]) -> "BoxUnionBody":
+        check_dimension(n)
+        if not boxes:
             raise ValueError("body needs at least one box")
-        for box in self.boxes:
-            if box.n != self.n:
+        for box in boxes:
+            if box.n != n:
                 raise ValueError("all boxes must share the body dimension")
+        return super().__new__(cls, n, boxes)
 
 
 def projection_volume(body: BoxUnionBody, mask: int) -> Fraction:
@@ -105,8 +104,7 @@ def projection_volume(body: BoxUnionBody, mask: int) -> Fraction:
     return measure(frozenset(range(len(rects))), 0)
 
 
-@dataclass(frozen=True)
-class ProjectionProfile:
+class ProjectionProfile(NamedTuple):
     """Exact volumes plus their logs (rationalized at LOG_DIGITS precision).
 
     logs[A] is None exactly where volumes[A] == 0; such a vector is not

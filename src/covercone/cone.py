@@ -10,10 +10,9 @@ and `margin` read it as that inequality, and `format_inequality` prints it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .core import ProjectionVector, canonical_subset_order, format_rational, format_subset
 from .covers import UniformCover, irreducible_covers
@@ -49,8 +48,7 @@ def format_inequality(coeffs: Mapping[int, Fraction]) -> str:
     return f"{lhs or 0} >= {rhs or 0}"
 
 
-@dataclass(frozen=True)
-class ConeSystem:
+class ConeSystem(NamedTuple):
     n: int
     generators: tuple[UniformCover, ...]
 
@@ -58,8 +56,7 @@ class ConeSystem:
         return "\n".join(format_inequality(coefficients(g)) for g in self.generators)
 
 
-@dataclass(frozen=True)
-class MembershipReport:
+class MembershipReport(NamedTuple):
     inside: bool
     violated: tuple[UniformCover, ...]
     tight: tuple[UniformCover, ...]

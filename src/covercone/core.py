@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import Decimal, Overflow, Underflow, localcontext
 from fractions import Fraction
 from typing import Iterator, Mapping
@@ -168,26 +168,23 @@ def canonical_subset_order(n: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # projection vectors
 
-@dataclass(frozen=True, eq=True)
-class ProjectionVector:
+class ProjectionVector(namedtuple("ProjectionVector", "n entries")):
     """Exact rational coordinates x_A indexed by the nonempty A subset [n].
 
     Complete: every nonempty mask is present in `entries`.
     """
 
-    n: int
-    entries: Mapping[int, Fraction]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        check_dimension(self.n)
-        expected = (1 << self.n) - 1
-        if len(self.entries) != expected:
-            raise ValueError(
-                f"projection vector needs {expected} entries, got {len(self.entries)}"
-            )
-        for mask in self.entries:
-            if not 0 < mask < (1 << self.n):
-                raise ValueError(f"mask {mask} out of range for n={self.n}")
+    def __new__(cls, n: int, entries: Mapping[int, Fraction]) -> "ProjectionVector":
+        check_dimension(n)
+        expected = (1 << n) - 1
+        if len(entries) != expected:
+            raise ValueError(f"projection vector needs {expected} entries, got {len(entries)}")
+        for mask in entries:
+            if not 0 < mask < (1 << n):
+                raise ValueError(f"mask {mask} out of range for n={n}")
+        return super().__new__(cls, n, entries)
 
     @classmethod
     def zero(cls, n: int) -> "ProjectionVector":

@@ -26,10 +26,9 @@ ordered, inside the ground and uniform; the tests pass each back through it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import FormatError, MAX_DIMENSION, format_subset, load_object, parse_subset, subsets_of
 
@@ -45,8 +44,7 @@ def _part_key(mask: int) -> tuple[int, int]:
     return (mask.bit_count(), mask)
 
 
-@dataclass(frozen=True)
-class UniformCover:
+class UniformCover(NamedTuple):
     """A k-uniform cover; parts are kept sorted by (size, bits).
 
     A plain record, checked only by from_parts (see the module docstring).
@@ -273,15 +271,24 @@ def _subset_images(targets) -> list[int]:
     return image
 
 
-def _relabelings(size: int, representatives) -> set[tuple[int, ...]]:
-    """Every image of the representatives under a permutation of {1..size}."""
+def _relabelings(size: int, representatives) -> tuple[tuple[int, ...], ...]:
+    """Every image of the representatives under a permutation of {1..size}, in level order.
+
+    Parts are handled as their ranks in _part_key order, so plain int sorts
+    give the order of parts and of covers.
+    """
+    order = sorted(range(1 << size), key=_part_key)
+    rank = [0] * len(order)
+    for r, mask in enumerate(order):
+        rank[mask] = r
     covers = [[sum(1 << int(e) - 1 for e in part) for part in rep.split()] for rep in representatives]
     found = set()
     for perm in permutations(range(size)):
-        image = _subset_images(perm)
+        ranked = [rank[mask] for mask in _subset_images(perm)]
         for parts in covers:
-            found.add(tuple(sorted([image[p] for p in parts], key=_part_key)))
-    return found
+            found.add(tuple(sorted([ranked[p] for p in parts])))
+    level = sorted(found, key=lambda parts: (len(parts), parts))
+    return tuple(tuple(order[r] for r in parts) for parts in level)
 
 
 @lru_cache(maxsize=None)
@@ -292,11 +299,10 @@ def _irreducible_level(size: int, k: int) -> tuple[tuple[int, ...], ...]:
     """
     representatives = _ORBIT_REPRESENTATIVES.get((size, k))
     if representatives is not None:
-        found = _relabelings(size, representatives)
-    else:
-        ground = (1 << size) - 1
-        avoid = [parts for j in range(1, k // 2 + 1) for parts in _irreducible_level(size, j)]
-        found = _search(ground, _all_parts(ground, k), k, avoid)
+        return _relabelings(size, representatives)
+    ground = (1 << size) - 1
+    avoid = [parts for j in range(1, k // 2 + 1) for parts in _irreducible_level(size, j)]
+    found = _search(ground, _all_parts(ground, k), k, avoid)
     return tuple(sorted(found, key=lambda parts: (len(parts), [_part_key(p) for p in parts])))
 
 

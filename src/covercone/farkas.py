@@ -12,10 +12,9 @@ exact projection volumes violate the candidate.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, Union
+from typing import Mapping, NamedTuple, Union
 
 from .cone import ConeSystem, coefficients, membership
 from .core import (
@@ -33,8 +32,7 @@ from .realize import RealizationResult, double_lambda
 from .simplex import INFEASIBLE, OPTIMAL, solve_equality_lp
 
 
-@dataclass(frozen=True)
-class LinearInequality:
+class LinearInequality(NamedTuple):
     """coeffs . x >= 0, where coeffs is the netted mask -> coefficient map
     (lhs minus rhs, nonzero, in mask order) that `cone.coefficients` gives a
     generator."""
@@ -62,15 +60,13 @@ class LinearInequality:
         return sum((c * v[m] for m, c in self.coeffs.items()), Fraction(0))
 
 
-@dataclass(frozen=True)
-class FarkasCertificate:
+class FarkasCertificate(NamedTuple):
     """Nonnegative weights on generator indices reconstructing the target."""
 
     weights: dict[int, Fraction]
 
 
-@dataclass(frozen=True)
-class SeparatingWitness:
+class SeparatingWitness(NamedTuple):
     """A cone vector on which the candidate evaluates to exactly -1."""
 
     vector: ProjectionVector
@@ -120,8 +116,7 @@ def check_implication(system: ConeSystem, ineq: LinearInequality) -> Union[Farka
     return SeparatingWitness(witness)
 
 
-@dataclass(frozen=True)
-class ViolationReport:
+class ViolationReport(NamedTuple):
     """A body (realization.body) refuting the candidate, with the exact
     integer-exponent check.
 

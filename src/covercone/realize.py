@@ -34,9 +34,8 @@ lambda*v is the arbiter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .boxgeom import Box, BoxUnionBody, ProjectionProfile, disjoint_offset, log_projection_vector
 from .cone import build_bt_system, coefficients, format_inequality, membership
@@ -76,8 +75,7 @@ class InconclusiveError(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
-class BoxSystem:
+class BoxSystem(NamedTuple):
     """One step's minimal solution z, in volume space.
 
     sides maps each element of the ground to the emitted box's extent on that
@@ -89,8 +87,7 @@ class BoxSystem:
     sides: dict[int, Fraction]
 
 
-@dataclass(frozen=True)
-class RealizationResult:
+class RealizationResult(NamedTuple):
     lam: Fraction
     body: BoxUnionBody
     #: the body's exact projection volumes and their logs

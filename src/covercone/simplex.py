@@ -24,10 +24,9 @@ every original column, so that artificial never leaves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -40,8 +39,7 @@ class PivotLimitError(RuntimeError):
     """The pivot budget was exhausted (resource guard, not a verdict)."""
 
 
-@dataclass
-class LPResult:
+class LPResult(NamedTuple):
     status: str
     x: Optional[list[Fraction]] = None
     objective: Optional[Fraction] = None

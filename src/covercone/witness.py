@@ -11,9 +11,9 @@ convex combinations of constructible vectors.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cone import build_bt_system, membership
 from .core import (
@@ -29,28 +29,26 @@ from .covers import UniformCover
 _M12, _M13, _M24, _M123, _M234 = 0b0011, 0b0101, 0b1010, 0b0111, 0b1110
 
 
-@dataclass(frozen=True)
-class SetFamily:
+class SetFamily(namedtuple("SetFamily", "n members")):
     """A duplicate-free collection of subsets of [n]; the empty set may occur."""
 
-    n: int
-    members: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        check_dimension(self.n)
-        if len(set(self.members)) != len(self.members):
+    def __new__(cls, n: int, members: tuple[int, ...]) -> "SetFamily":
+        check_dimension(n)
+        if len(set(members)) != len(members):
             raise ValueError("family members must be distinct")
-        for m in self.members:
-            if m >> self.n:
-                raise ValueError(f"member {m} not a subset of [{self.n}]")
+        for m in members:
+            if m >> n:
+                raise ValueError(f"member {m} not a subset of [{n}]")
+        return super().__new__(cls, n, members)
 
     @classmethod
     def from_members(cls, n: int, members) -> "SetFamily":
         return cls(n, tuple(sorted(set(members))))
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     in_cone: bool
     tight: tuple[UniformCover, ...]
     obstruction_lhs: Fraction
@@ -96,8 +94,7 @@ def analyze_witness(v: ProjectionVector) -> WitnessReport:
     )
 
 
-@dataclass(frozen=True)
-class ShearerReport:
+class ShearerReport(NamedTuple):
     lhs_product: int
     rhs_power: int
     trace_sizes: tuple[int, ...]

@@ -206,7 +206,7 @@ class TestBodyFiles:
             read_body(bad)
 
     def test_box_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"empty interval \[1, 0\]"):
             box((1, 0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="body needs at least one box"):
             BoxUnionBody(2, ())

@@ -3,9 +3,13 @@
 No linter is a test dependency, so these stand in for the two rules the
 package keeps: every imported name is used, and each public name has one
 import path, its defining module (the package itself re-exports nothing).
+A last test imports the CLI in a fresh interpreter to check what it loads.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,3 +61,18 @@ def test_package_names_are_imported_from_their_modules():
             if package or relative:
                 bad += [f"{path.name}: {a.name}" for a in node.names if a.name not in SUBMODULES]
     assert not bad, f"non-module names imported from the package: {', '.join(bad)}"
+
+
+def test_cli_import_loads_every_traced_module_and_no_dataclasses():
+    """A cold `import covercone.cli` skips `dataclasses` and `inspect`, whose
+    import is a fifth of a small query, and loads every module that
+    bench/tracer.py's Tracer.install reads from sys.modules."""
+    tree = _tree(ROOT / "bench" / "tracer.py")
+    traced = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TRACED"])
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", "import sys, covercone.cli; print(*sys.modules)"],
+                          capture_output=True, text=True, env=env, timeout=30, check=True)
+    loaded = set(proc.stdout.split())
+    assert not {"dataclasses", "inspect"} & loaded
+    assert {f"covercone.{module}" for module in traced} <= loaded

@@ -123,6 +123,12 @@ class TestShearer:
         report = shearer_check(family, [0b01, 0b10, 0b11], 1)
         assert report.holds
 
+    def test_family_constructor_checks(self):
+        with pytest.raises(ValueError, match="family members must be distinct"):
+            SetFamily(2, (0b01, 0b01))
+        with pytest.raises(ValueError, match=r"member 4 not a subset of \[2\]"):
+            SetFamily(2, (0b100,))
+
     def test_coverage_violation(self):
         family = SetFamily.from_members(2, [0b01])
         with pytest.raises(ValueError):
