@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import permutations
 from typing import NamedTuple, Optional
 
 from .core import FormatError, MAX_DIMENSION, format_subset, load_object, parse_subset, subsets_of
@@ -274,19 +273,30 @@ def _subset_images(targets) -> list[int]:
 def _relabelings(size: int, representatives) -> tuple[tuple[int, ...], ...]:
     """Every image of the representatives under a permutation of {1..size}, in level order.
 
-    Parts are handled as their ranks in _part_key order, so plain int sorts
-    give the order of parts and of covers.
+    The transposition (1 2) and the cycle (1 2 ... size) generate S_size, so
+    the orbits are closed under those two alone: each distinct cover is
+    mapped by each generator once.  Parts are handled as their ranks in
+    _part_key order, so plain int sorts give the order of parts and of covers.
     """
     order = sorted(range(1 << size), key=_part_key)
     rank = [0] * len(order)
     for r, mask in enumerate(order):
         rank[mask] = r
-    covers = [[sum(1 << int(e) - 1 for e in part) for part in rep.split()] for rep in representatives]
-    found = set()
-    for perm in permutations(range(size)):
-        ranked = [rank[mask] for mask in _subset_images(perm)]
-        for parts in covers:
-            found.add(tuple(sorted([ranked[p] for p in parts])))
+    swap = [1, 0, *range(2, size)] if size > 1 else [0]
+    cycle = [*range(1, size), 0]
+    generators = [[rank[image[mask]] for mask in order] for image in map(_subset_images, (swap, cycle))]
+    found = {
+        tuple(sorted([rank[sum(1 << int(e) - 1 for e in part)] for part in rep.split()]))
+        for rep in representatives
+    }
+    stack = list(found)
+    while stack:
+        parts = stack.pop()
+        for table in generators:
+            image = tuple(sorted([table[p] for p in parts]))
+            if image not in found:
+                found.add(image)
+                stack.append(image)
     level = sorted(found, key=lambda parts: (len(parts), parts))
     return tuple(tuple(order[r] for r in parts) for parts in level)
 
@@ -324,7 +334,7 @@ def irreducible_covers(ground: int, k_max: Optional[int] = None) -> list[Uniform
     k_max = check_k_max(ground, k_max)
     image = _subset_images([e for e in range(MAX_DIMENSION) if ground >> e & 1])
     return [
-        UniformCover(ground, k, tuple(image[p] for p in parts))
+        UniformCover(ground, k, tuple(map(image.__getitem__, parts)))
         for k in range(1, k_max + 1)
         for parts in _irreducible_level(ground.bit_count(), k)
     ]

@@ -85,18 +85,20 @@ def check_implication(system: ConeSystem, ineq: LinearInequality) -> Union[Farka
     target = [Fraction(0)] * len(order)
     for mask, c in ineq.coeffs.items():
         target[index[mask]] = c
-    columns = [coefficients(g) for g in system.generators]
-    rows = [[0] * len(columns) for _ in order]
-    for j, column in enumerate(columns):
-        for mask, c in column.items():
-            rows[index[mask]][j] = c
-    res = solve_equality_lp(rows, target, [0] * len(columns))
+    # column j is coefficients(generator j): +1 per part, -k on the ground
+    generators = system.generators
+    rows = [[0] * len(generators) for _ in order]
+    for j, g in enumerate(generators):
+        for part in g.parts:
+            rows[index[part]][j] += 1
+        rows[index[g.ground]][j] -= g.k
+    res = solve_equality_lp(rows, target, [0] * len(generators))
 
     if res.status == OPTIMAL:
         weights = {j: w for j, w in enumerate(res.x) if w != 0}
         recon = [Fraction(0)] * len(order)
         for j, w in weights.items():
-            for mask, c in columns[j].items():
+            for mask, c in coefficients(generators[j]).items():
                 recon[index[mask]] += w * c
         if recon != target:
             raise RuntimeError("certificate failed exact reconstruction")

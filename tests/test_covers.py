@@ -13,6 +13,7 @@ from covercone.covers import (
     _all_parts,
     _irreducible_level,
     _part_key,
+    _relabelings,
     _search,
     cover_from_json,
     cover_to_obj,
@@ -203,6 +204,16 @@ class TestIrreducible:
             assert _ORBIT_REPRESENTATIVES[size, k] == tuple(spell(parts) for parts in first)
             # the representatives' orbits are disjoint and make up the level
             assert sum(map(len, orbits)) == len(seen) == len(level)
+
+    @pytest.mark.parametrize("size,k", sorted(_ORBIT_REPRESENTATIVES))
+    def test_relabelings_match_every_permutation(self, size, k):
+        # the closure under two generators of S_size against all size! permutations
+        representatives = _ORBIT_REPRESENTATIVES[size, k]
+        level = set()
+        for rep in representatives:
+            level |= orbit(size, tuple(sum(1 << int(e) - 1 for e in part) for part in rep.split()))
+        expected = sorted(level, key=lambda parts: UniformCover((1 << size) - 1, k, parts).sort_key())
+        assert _relabelings(size, representatives) == tuple(expected)
 
     def test_ground_size_four_counts(self):
         by_k = {}

@@ -206,6 +206,34 @@ def imply_guess4(tmp_path, capsys):
     capsys.readouterr()
 
 
+GUESS4 = LinearInequality.from_maps(4, {0b0011: F(1), 0b0110: F(1), 0b1100: F(1)}, {0b0111: F(1), 0b1110: F(1)})
+GUESS5 = LinearInequality.from_maps(
+    5, {0b00011: F(1), 0b00110: F(1), 0b01100: F(1)}, {0b00111: F(1), 0b01110: F(1)}
+)
+# Loomis-Whitney on [5]: the four-element subsets against 4 x_[5]
+LW5 = LinearInequality.from_maps(5, {0b11111 ^ 1 << e: F(1) for e in range(5)}, {0b11111: F(4)})
+
+
+@pytest.mark.parametrize("n, k_max, candidate, status, pivots", [
+    (4, None, GUESS4, INFEASIBLE, 25),
+    (5, 3, GUESS5, INFEASIBLE, 70),
+    (5, None, GUESS5, INFEASIBLE, 70),
+    (5, None, LW5, OPTIMAL, 208),
+], ids=["guess-n4", "guess-n5-kmax3", "guess-n5", "loomis-whitney-n5"])
+def test_implication_lp_pivots_pinned(monkeypatch, n, k_max, candidate, status, pivots):
+    """The implication LPs keep their verdict and their number of pivots, so
+    any change to the pivot sequence shows."""
+    solved = []
+
+    def record(*args, **kwargs):
+        solved.append(solve_equality_lp(*args, **kwargs))
+        return solved[-1]
+
+    monkeypatch.setattr(farkas, "solve_equality_lp", record)
+    farkas.check_implication(build_bt_system(n, k_max), candidate)
+    assert [(res.status, res.pivots) for res in solved] == [(status, pivots)]
+
+
 def test_real_lps_match_tableau(monkeypatch, capsys, tmp_path):
     """The LPs of the n = 4 guess `imply --emit-body` path and of the n = 5
     refutation at k <= 3, replayed through the dense tableau and HiGHS."""
@@ -219,10 +247,7 @@ def test_real_lps_match_tableau(monkeypatch, capsys, tmp_path):
     monkeypatch.setattr(farkas, "solve_equality_lp", record)
     monkeypatch.setattr(realize, "solve_equality_lp", record)
     imply_guess4(tmp_path, capsys)
-    guess5 = LinearInequality.from_maps(
-        5, {0b00011: F(1), 0b00110: F(1), 0b01100: F(1)}, {0b00111: F(1), 0b01110: F(1)}
-    )
-    farkas.check_implication(build_bt_system(5, 3), guess5)
+    farkas.check_implication(build_bt_system(5, 3), GUESS5)
 
     assert {res.status for _, res in solved} == {OPTIMAL, INFEASIBLE, UNBOUNDED}
     assert max(len(args[0][0]) for args, _ in solved) == 1650
@@ -251,14 +276,21 @@ def exact_det(matrix) -> F:
 
 
 def test_integer_basis_invariant(monkeypatch, capsys, tmp_path):
-    """After every pivot of the n = 4 guess LPs: adj and X hold ints,
-    D = |det B| > 0, adj = D B^-1 and X = D x_B, checked exactly."""
-    init, pivot = simplex._RevisedSimplex.__init__, simplex._RevisedSimplex.pivot
-    checked = []
+    """After every pivot of the n = 4 guess LPs and of the n = 5 k <= 3 guess
+    LP: adj and X hold ints, D = |det B| > 0, adj = D B^-1 and X = D x_B, and
+    each pivot of optimize leaves the carried dual row P = c_B adj, checked
+    exactly."""
+    init = simplex._RevisedSimplex.__init__
+    pivot, optimize = simplex._RevisedSimplex.pivot, simplex._RevisedSimplex.optimize
+    checked, carried = [], []
 
     def recording_init(lp, columns, X, max_pivots):
         init(lp, columns, X, max_pivots)
         lp.b = list(X)  # the scaled right-hand side, while B = I and D = 1
+
+    def recording_optimize(lp, cost, limit):
+        lp.cost = cost
+        return optimize(lp, cost, limit)
 
     def checked_pivot(lp, *args):
         pivot(lp, *args)
@@ -272,9 +304,15 @@ def test_integer_basis_invariant(monkeypatch, capsys, tmp_path):
             [lp.D * (i == c) for c in range(m)] for i in range(m)
         ]
         assert [sum(B[i][k] * lp.X[k] for k in range(m)) for i in range(m)] == [lp.D * v for v in lp.b]
+        if len(args) == 4:  # a pivot of optimize, given the entering column's delta
+            assert lp.P == [sum(lp.cost[j] * adj_r[c] for j, adj_r in zip(lp.basis, lp.adj)) for c in range(m)]
+            carried.append(m)
         checked.append(m)
 
     monkeypatch.setattr(simplex._RevisedSimplex, "__init__", recording_init)
+    monkeypatch.setattr(simplex._RevisedSimplex, "optimize", recording_optimize)
     monkeypatch.setattr(simplex._RevisedSimplex, "pivot", checked_pivot)
     imply_guess4(tmp_path, capsys)
-    assert len(checked) > 50
+    assert len(checked) > 50 and len(carried) > 50
+    farkas.check_implication(build_bt_system(5, 3), GUESS5)
+    assert checked.count(31) == carried.count(31) == 70
