@@ -14,8 +14,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping, NamedTuple, Optional
 
-from .core import ProjectionVector, canonical_subset_order, format_rational, format_subset
+from .core import ProjectionVector, canonical_subset_order, elements, format_rational, format_subset, subsets_of
 from .covers import UniformCover, irreducible_covers
+from .simplex import OPTIMAL, UNBOUNDED, solve_equality_lp
 
 #: the default k <= |Y| system is proved complete up to here; n = 6 does not
 #: end in minutes and no complete generator list for it is known
@@ -98,3 +99,37 @@ def membership(system: ConeSystem, v: ProjectionVector) -> MembershipReport:
         elif m == 0:
             tight.append(g)
     return MembershipReport(not violated, tuple(violated), tuple(tight))
+
+
+def core_point(ground: int, values: Mapping[int, Fraction]) -> Optional[dict[int, Fraction]]:
+    """A core point u of `values` on `ground` as {element: u_i}, or None.
+
+    values maps each nonempty subset of ground to a rational.  u meets
+    u(A) <= values[A] for each proper subset A and u(ground) =
+    values[ground], where u(A) sums u over A; by Bondareva-Shapley such a u
+    exists exactly when every uniform-cover inequality on ground holds at
+    values.  The LP, min t over such u with every u_i <= t, is solved as its
+    dual, in one solve_equality_lp call with |ground| + 1 rows:
+      rows     sum of mu_A over proper A containing i, + pi_i - nu = 0, for
+               each element i in element order; then sum of all pi_i = 1
+      columns  mu_A for each proper subset A in (size, mask) order, then
+               pi_i in element order, then nu
+      cost     values[A] on mu_A, 0 on pi_i, -values[ground] on nu
+    u_i is the optimal dual of row i (t is minus that of the last row).
+    The element rows sum to |ground| nu = 1 + sum of |A| mu_A, so nu > 0
+    at every feasible point, the duals meet the nu column with equality,
+    and u(ground) = values[ground] holds exactly.  The dual is always
+    feasible (mu = 0, pi_i = nu = 1/|ground|), so it is unbounded, and the
+    result None, exactly when no core point exists.
+    """
+    elems = elements(ground)
+    caps = sorted(subsets_of(ground), key=lambda a: (a.bit_count(), a))[:-1]  # the ground sorts last
+    m = len(elems)
+    rows = [[a >> (e - 1) & 1 for a in caps] + [int(k == j) for k in range(m)] + [-1] for j, e in enumerate(elems)]
+    rows.append([0] * len(caps) + [1] * m + [0])
+    res = solve_equality_lp(rows, [0] * m + [1], [values[a] for a in caps] + [0] * m + [-values[ground]])
+    if res.status == UNBOUNDED:
+        return None
+    if res.status != OPTIMAL:
+        raise RuntimeError(f"core-point LP unexpectedly {res.status}")
+    return dict(zip(elems, res.duals))

@@ -8,12 +8,12 @@ Span(S), subtracts that box's projection volumes from the running targets,
 and finally places all boxes disjointly.  lambda is found by doubling;
 failure at the cap is inconclusive, never a non-realizability claim.
 
-Each step is one LP over log values, solved as its dual with |S| + 1 rows
-(layout in solve_box_system): the log sides are the optimal duals of its
-element rows, and sum to the log target of S exactly.  The dual is always
-feasible, so it is unbounded exactly when the step is infeasible.
+Each step is one LP over log values: the log sides are a core point of the
+log targets on S (cone.core_point, which gives the LP's layout), and sum to
+the log target of S exactly.  The step is infeasible exactly when no core
+point exists.
 
-find_lambda is still the only function here that reads the cone: one
+find_lambda is the only function here that reads the generator list: one
 membership test decides whether v is inside and must be shifted to be
 strictly inside.  double_lambda and realize_vector trust strictness; the
 final check of every log projection volume against lambda*v is the arbiter.
@@ -35,10 +35,11 @@ lambda*v is the arbiter.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import Mapping, NamedTuple, Optional
 
 from .boxgeom import Box, BoxUnionBody, ProjectionProfile, disjoint_offset, log_projection_vector
-from .cone import build_bt_system, coefficients, format_inequality, membership
+from .cone import build_bt_system, coefficients, core_point, format_inequality, membership
 from .core import (
     ProjectionVector,
     canonical_subset_order,
@@ -48,10 +49,10 @@ from .core import (
     log_fraction,
     subsets_of,
 )
-from .simplex import OPTIMAL, UNBOUNDED, solve_equality_lp
 
 DEFAULT_LAMBDA_CAP = 1024
 DEFAULT_TOLERANCE = Fraction(1, 10**6)
+_ZERO = Fraction(0)
 
 
 class NotInConeError(ValueError):
@@ -107,51 +108,21 @@ def solve_box_system(ground: int, y: Mapping[int, Fraction]) -> BoxSystem:
     Its minimal solution is in product form, z_A = prod of sides over A, with
     prod of all sides = y_ground.  Such a z meets (ii) and (iii) with
     equality, since each element lies in k parts of a k-uniform cover, so
-    the system is feasible exactly when some log sides s satisfy (i) with
-    that product: s(A) <= eta_A for each proper subset A and s(ground) =
-    eta_ground, where eta = log y and s(A) sums s over A.  The step LP,
-    min t over such s with every s_i <= t, is solved as its dual, in one
-    solve_equality_lp call with |ground| + 1 rows:
-      rows     sum of mu_A over proper A containing i, + pi_i - nu = 0, for
-               each element i in element order; then sum of all pi_i = 1
-      columns  mu_A for each proper subset A in (size, mask) order, then
-               pi_i in element order, then nu
-      cost     eta_A on mu_A, 0 on pi_i, -eta_ground on nu
-    s_i is the optimal dual of row i (t is minus that of the last row).
-    The element rows sum to |ground| nu = 1 + sum of |A| mu_A, so nu > 0
-    at every feasible point, the duals meet the nu column with equality,
-    and s(ground) = eta_ground holds exactly.  The dual is always feasible
-    (mu = 0, pi_i = nu = 1/|ground|), so it is unbounded exactly when the
-    step is infeasible: BoxSystemInfeasible.  Each returned side is
-    exp_fraction of its log side, so z_ground equals y_ground, and every
-    other z_A stays below y_A, up to a factor 1 +- _SLACK.
+    the system is feasible exactly when the log targets eta = log y have a
+    core point on ground, found by cone.core_point: its coordinates are the
+    log sides, and without one the step raises BoxSystemInfeasible.  Each
+    side is exp_fraction of its log side, so z_ground equals y_ground, and
+    every other z_A stays below y_A, up to a factor 1 +- _SLACK.
     """
     members = sorted(subsets_of(ground), key=lambda m: (m.bit_count(), m))
     for a in members:
         if a not in y:
             raise ValueError(f"missing target for subset {{{format_subset(a)}}}")
-    m = ground.bit_count()
-    eta = {a: log_fraction(Fraction(y[a])) for a in members}
-    caps = members[:-1]  # the proper subsets; the ground sorts last
-    zero, one = Fraction(0), Fraction(1)
-    rows = [
-        [one if a >> (e - 1) & 1 else zero for a in caps] + [one if k == j else zero for k in range(m)] + [-one]
-        for j, e in enumerate(elements(ground))
-    ]
-    rows.append([zero] * len(caps) + [one] * m + [zero])
-    cost = [eta[a] for a in caps] + [zero] * m + [-eta[ground]]
-    res = solve_equality_lp(rows, [zero] * m + [one], cost)
-    if res.status == UNBOUNDED:
+    log_sides = core_point(ground, {a: log_fraction(Fraction(y[a])) for a in members})
+    if log_sides is None:
         raise BoxSystemInfeasible(ground)
-    if res.status != OPTIMAL:
-        raise RuntimeError(f"step LP unexpectedly {res.status}")
-    sides = {e: exp_fraction(s) for e, s in zip(elements(ground), res.duals)}
-    z: dict[int, Fraction] = {}
-    for a in members:
-        vol = Fraction(1)
-        for e in elements(a):
-            vol *= sides[e]
-        z[a] = vol
+    sides = {e: exp_fraction(s) for e, s in log_sides.items()}
+    z = {a: prod(sides[e] for e in elements(a)) for a in members}
     _check_solution(ground, dict(y), z)
     return BoxSystem(ground, z, sides)
 
@@ -163,8 +134,6 @@ def _check_solution(ground, y, z) -> None:
     if abs(z[ground] - y[ground]) > y[ground] * _SLACK:
         raise RuntimeError("ground target not consumed within slack")
     for a, vol in z.items():
-        if vol <= 0:
-            raise RuntimeError(f"nonpositive volume on {{{format_subset(a)}}}")
         if a != ground and vol > y[a] * (1 + _SLACK):
             raise RuntimeError(f"solution exceeds target on {{{format_subset(a)}}}")
 
@@ -187,14 +156,7 @@ def realize_vector(v: ProjectionVector, lam) -> RealizationResult:
     for ground in reversed(canonical_subset_order(v.n)):
         y = {a: targets[a] if a == ground else targets[a] / 2 for a in subsets_of(ground)}
         bs = solve_box_system(ground, y)
-        zero = Fraction(0)
-        intervals = []
-        for axis in range(1, v.n + 1):
-            if ground >> (axis - 1) & 1:
-                intervals.append((zero, bs.sides[axis]))
-            else:
-                intervals.append((zero, zero))
-        raw_boxes.append(Box(tuple(intervals)))
+        raw_boxes.append(Box(tuple((_ZERO, bs.sides.get(axis, _ZERO)) for axis in range(1, v.n + 1))))
         steps.append(bs)
         for a in subsets_of(ground):
             targets[a] -= bs.z[a]

@@ -6,9 +6,10 @@ import pytest
 
 from conftest import random_body, sample_bt3_vector, thicken
 from covercone.boxgeom import log_projection_vector, projection_volume
-from covercone.cone import ConeSystem, build_bt_system, coefficients, format_inequality, membership
-from covercone.core import ProjectionVector, canonical_subset_order
+from covercone.cone import ConeSystem, build_bt_system, coefficients, core_point, format_inequality, margin, membership
+from covercone.core import ProjectionVector, canonical_subset_order, elements, subsets_of
 from covercone.covers import UniformCover
+from covercone.witness import theorem9_vector
 
 
 class TestBuildSystem:
@@ -114,6 +115,58 @@ class TestMembership:
             entries = {m: Fraction(rng.randint(-8, 8), 2) for m in range(1, 4)}
             v = ProjectionVector.from_entries(2, entries)
             assert membership(system, v).inside == membership(extended, v).inside
+
+
+def near_boundary_vector(rng, n: int) -> ProjectionVector:
+    """Modular plus a small constant, so every margin is small, with a few
+    entries moved off by a little in either direction."""
+    weights = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
+    bump = rng.choice([Fraction(0), Fraction(1, 8), Fraction(1, 2)])
+    entries = {a: sum(weights[e - 1] for e in elements(a)) + bump for a in canonical_subset_order(n)}
+    for a in rng.sample(sorted(entries), min(3, len(entries))):
+        entries[a] += rng.choice([-1, 1]) * Fraction(rng.randint(1, 4), 4)
+    return ProjectionVector.from_entries(n, entries)
+
+
+def assert_core_point(ground, v, u):
+    assert set(u) == set(elements(ground))
+    assert sum(u.values()) == v[ground]
+    for a in subsets_of(ground):
+        if a != ground:
+            assert sum(u[e] for e in elements(a)) <= v[a]
+
+
+class TestCorePoint:
+    """core_point(Y, v) exists exactly when every generator on Y holds at v
+    (Bondareva-Shapley), and is then exactly a core point."""
+
+    @pytest.mark.parametrize("n,count", [(2, 40), (3, 30), (4, 20), (5, 20)])
+    def test_matches_generator_list(self, n, count):
+        rng = random.Random(600 + n)
+        on_ground = {}
+        for g in build_bt_system(n).generators:
+            on_ground.setdefault(g.ground, []).append(g)
+        outcomes = {True: 0, False: 0}
+        for _ in range(count):
+            v = near_boundary_vector(rng, n)
+            for ground, generators in on_ground.items():
+                u = core_point(ground, v)
+                holds = all(margin(g, v) >= 0 for g in generators)
+                assert (u is not None) == holds
+                outcomes[holds] += 1
+                if u is not None:
+                    assert_core_point(ground, v, u)
+        assert min(outcomes.values()) >= count // 4
+
+    def test_theorem9_vector_has_every_core_point(self):
+        v = theorem9_vector(4)
+        for ground in canonical_subset_order(4):
+            assert_core_point(ground, v, core_point(ground, v))
+
+    def test_violated_pair_has_none(self):
+        v = ProjectionVector.from_entries(3, {0b011: Fraction(3), 0b001: Fraction(1), 0b010: Fraction(1)})
+        assert core_point(0b011, v) is None
+        assert_core_point(0b111, v, core_point(0b111, v))
 
 
 class TestUniformCoverTheorem:

@@ -229,7 +229,7 @@ class TestMinimalityOracle:
             steps.append((ground, dict(y), system, lp_solves[0] - before))
             return system
 
-        monkeypatch.setattr(realize, "solve_equality_lp", counting_solve)
+        monkeypatch.setattr(cone, "solve_equality_lp", counting_solve)
         monkeypatch.setattr(realize, "solve_box_system", spy)
         rng = random.Random(41)
         for _ in range(4):

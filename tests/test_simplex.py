@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
-from covercone import farkas, realize, simplex
+from covercone import cone, farkas, simplex
 from covercone.cli import main
 from covercone.cone import build_bt_system
 from covercone.farkas import LinearInequality
@@ -245,7 +245,7 @@ def test_real_lps_match_tableau(monkeypatch, capsys, tmp_path):
         return res
 
     monkeypatch.setattr(farkas, "solve_equality_lp", record)
-    monkeypatch.setattr(realize, "solve_equality_lp", record)
+    monkeypatch.setattr(cone, "solve_equality_lp", record)
     imply_guess4(tmp_path, capsys)
     farkas.check_implication(build_bt_system(5, 3), GUESS5)
 
