@@ -16,7 +16,7 @@ from typing import Mapping, NamedTuple, Optional
 
 from .core import ProjectionVector, canonical_subset_order, elements, format_rational, format_subset, subsets_of
 from .covers import UniformCover, irreducible_covers
-from .simplex import OPTIMAL, UNBOUNDED, solve_equality_lp
+from .simplex import solve_equality_lp
 
 #: the default k <= |Y| system is proved complete up to here; n = 6 does not
 #: end in minutes and no complete generator list for it is known
@@ -101,35 +101,35 @@ def membership(system: ConeSystem, v: ProjectionVector) -> MembershipReport:
     return MembershipReport(not violated, tuple(violated), tuple(tight))
 
 
-def core_point(ground: int, values: Mapping[int, Fraction]) -> Optional[dict[int, Fraction]]:
-    """A core point u of `values` on `ground` as {element: u_i}, or None.
+def core_point(ground: int, values: Mapping[int, Fraction]) -> Optional[tuple[Optional[Fraction], dict[int, Fraction]]]:
+    """(slack, u) of `values` on `ground`, or None when the slack is negative.
 
-    values maps each nonempty subset of ground to a rational.  u meets
-    u(A) <= values[A] for each proper subset A and u(ground) =
-    values[ground], where u(A) sums u over A; by Bondareva-Shapley such a u
-    exists exactly when every uniform-cover inequality on ground holds at
-    values.  The LP, min t over such u with every u_i <= t, is solved as its
-    dual, in one solve_equality_lp call with |ground| + 1 rows:
-      rows     sum of mu_A over proper A containing i, + pi_i - nu = 0, for
-               each element i in element order; then sum of all pi_i = 1
-      columns  mu_A for each proper subset A in (size, mask) order, then
-               pi_i in element order, then nu
-      cost     values[A] on mu_A, 0 on pi_i, -values[ground] on nu
-    u_i is the optimal dual of row i (t is minus that of the last row).
-    The element rows sum to |ground| nu = 1 + sum of |A| mu_A, so nu > 0
-    at every feasible point, the duals meet the nu column with equality,
-    and u(ground) = values[ground] holds exactly.  The dual is always
-    feasible (mu = 0, pi_i = nu = 1/|ground|), so it is unbounded, and the
-    result None, exactly when no core point exists.
+    values maps each nonempty subset of ground to a rational.  The slack is
+    min sum of w_A values[A] - values[ground] over the balanced weightings
+    w >= 0 of the proper subsets A (sum of w_A over A containing i = 1 for
+    each element i), from one solve_equality_lp call with those rows in
+    element order and columns w_A in (size, mask) order.  The LP is feasible
+    (singletons) and bounded (w_A <= 1).  A k-uniform cover is the weighting
+    (multiplicity of A)/k, and the minimum is reached at an irreducible
+    cover, so by Bondareva-Shapley the slack is negative, zero or positive
+    exactly when some uniform-cover inequality on ground fails, none fails
+    but one is tight, or all hold strictly.  The LP's duals u* meet u*(A) <=
+    values[A] and u*(ground) = values[ground] + slack; the core point u,
+    with u(A) <= values[A] and u(ground) = values[ground], water-fills them
+    from the top: u_i = min(u*_i, L) for the one L that makes the sum exact,
+    the largest (values[ground] - sum of u* past its k largest) / k over k.
+    A one-element ground has no proper subset: slack None, u_i =
+    values[ground], and no LP.
     """
     elems = elements(ground)
+    if len(elems) == 1:
+        return None, {elems[0]: values[ground]}
     caps = sorted(subsets_of(ground), key=lambda a: (a.bit_count(), a))[:-1]  # the ground sorts last
-    m = len(elems)
-    rows = [[a >> (e - 1) & 1 for a in caps] + [int(k == j) for k in range(m)] + [-1] for j, e in enumerate(elems)]
-    rows.append([0] * len(caps) + [1] * m + [0])
-    res = solve_equality_lp(rows, [0] * m + [1], [values[a] for a in caps] + [0] * m + [-values[ground]])
-    if res.status == UNBOUNDED:
+    res = solve_equality_lp([[a >> (e - 1) & 1 for a in caps] for e in elems], [1] * len(elems),
+                            [values[a] for a in caps])
+    slack = res.objective - values[ground]
+    if slack < 0:
         return None
-    if res.status != OPTIMAL:
-        raise RuntimeError(f"core-point LP unexpectedly {res.status}")
-    return dict(zip(elems, res.duals))
+    ordered = sorted(res.duals, reverse=True)
+    level = max((values[ground] - sum(ordered[k:])) / k for k in range(1, len(ordered) + 1))
+    return slack, {e: min(u, level) for e, u in zip(elems, res.duals)}

@@ -208,9 +208,6 @@ class ProjectionVector(namedtuple("ProjectionVector", "n entries")):
         """Add eps to every coordinate."""
         return ProjectionVector(self.n, {m: v + eps for m, v in self.entries.items()})
 
-    def scale(self, q: Fraction) -> "ProjectionVector":
-        return ProjectionVector(self.n, {m: v * q for m, v in self.entries.items()})
-
 
 def _unique_keys(pairs) -> dict:
     obj = {}

@@ -8,15 +8,14 @@ Span(S), subtracts that box's projection volumes from the running targets,
 and finally places all boxes disjointly.  lambda is found by doubling;
 failure at the cap is inconclusive, never a non-realizability claim.
 
-Each step is one LP over log values: the log sides are a core point of the
-log targets on S (cone.core_point, which gives the LP's layout), and sum to
-the log target of S exactly.  The step is infeasible exactly when no core
-point exists.
-
-find_lambda is the only function here that reads the generator list: one
-membership test decides whether v is inside and must be shifted to be
-strictly inside.  double_lambda and realize_vector trust strictness; the
-final check of every log projection volume against lambda*v is the arbiter.
+Each step is one LP over log values, cone.core_point: the log sides are a
+core point of the log targets on S and sum to the log target of S exactly;
+the step is infeasible exactly when no core point exists.  find_lambda runs
+the same LP on v itself, once per ground of two or more elements, and reads
+no generator list: the slacks decide whether v is inside and must be
+shifted to be strictly inside.  double_lambda and realize_vector trust
+strictness; the final check of every log projection volume against
+lambda*v is the arbiter.
 
 The step LP only searches product-form solutions, z_A = prod of sides over
 A.  That loses nothing: such a z meets every cover constraint of the step
@@ -27,9 +26,8 @@ theorem against the full step system on sampled steps.
 
 All volume bookkeeping is exact rational; logs/exps are evaluated at
 LOG_DIGITS significant digits.  Each side is the exp of its LP log side, so
-a step consumes its ground target only to a factor 1 +- _SLACK; the running
-targets carry the difference on exactly, and the final check against
-lambda*v is the arbiter.
+a step consumes its ground target only to a factor 1 +- _SLACK, and the
+running targets carry the difference on exactly.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from math import prod
 from typing import Mapping, NamedTuple, Optional
 
 from .boxgeom import Box, BoxUnionBody, ProjectionProfile, disjoint_offset, log_projection_vector
-from .cone import build_bt_system, coefficients, core_point, format_inequality, membership
+from .cone import MAX_CONE_DIMENSION, core_point
 from .core import (
     ProjectionVector,
     canonical_subset_order,
@@ -109,19 +107,20 @@ def solve_box_system(ground: int, y: Mapping[int, Fraction]) -> BoxSystem:
     prod of all sides = y_ground.  Such a z meets (ii) and (iii) with
     equality, since each element lies in k parts of a k-uniform cover, so
     the system is feasible exactly when the log targets eta = log y have a
-    core point on ground, found by cone.core_point: its coordinates are the
-    log sides, and without one the step raises BoxSystemInfeasible.  Each
-    side is exp_fraction of its log side, so z_ground equals y_ground, and
-    every other z_A stays below y_A, up to a factor 1 +- _SLACK.
+    core point on ground.  cone.core_point finds one, the water-filled duals
+    of one balanced-weighting LP: its coordinates are the log sides, and
+    without one the step raises BoxSystemInfeasible.  Each side is
+    exp_fraction of its log side, so z_ground equals y_ground, and every
+    other z_A stays below y_A, up to a factor 1 +- _SLACK.
     """
     members = sorted(subsets_of(ground), key=lambda m: (m.bit_count(), m))
     for a in members:
         if a not in y:
             raise ValueError(f"missing target for subset {{{format_subset(a)}}}")
-    log_sides = core_point(ground, {a: log_fraction(Fraction(y[a])) for a in members})
-    if log_sides is None:
+    found = core_point(ground, {a: log_fraction(Fraction(y[a])) for a in members})
+    if found is None:
         raise BoxSystemInfeasible(ground)
-    sides = {e: exp_fraction(s) for e, s in log_sides.items()}
+    sides = {e: exp_fraction(s) for e, s in found[1].items()}
     z = {a: prod(sides[e] for e in elements(a)) for a in members}
     _check_solution(ground, dict(y), z)
     return BoxSystem(ground, z, sides)
@@ -171,24 +170,28 @@ def realize_vector(v: ProjectionVector, lam) -> RealizationResult:
 
 
 def find_lambda(v: ProjectionVector, eps: Fraction, lambda_cap=DEFAULT_LAMBDA_CAP) -> RealizationResult:
-    """Shift v by eps if some generator is tight, then realize it by double_lambda.
+    """Shift v by eps if it is tight on some ground, then realize it by double_lambda.
 
-    Decides membership in build_bt_system(v.n) with one membership test.  A
-    nontrivial irreducible cover with l parts and multiplicity k has l > k,
-    so the shift raises each margin by (l-k)*eps > 0 and leaves v strictly
-    inside.  Raises ValueError unless eps > 0, NotInConeError for vectors
-    outside the cone, and whatever double_lambda raises.
+    v is in the cone exactly when core_point(Y, v) has no negative slack on
+    any ground Y of two or more elements, and strictly inside exactly when
+    every such slack is positive.  A nontrivial irreducible cover with l
+    parts and multiplicity k has l > k, so the shift raises each margin by
+    (l-k)*eps > 0.  Raises ValueError unless eps > 0 and v.n <=
+    MAX_CONE_DIMENSION, NotInConeError naming the first ground where v is
+    outside, and whatever double_lambda raises.
     """
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    report = membership(build_bt_system(v.n), v)
-    if not report.inside:
-        raise NotInConeError(
-            f"vector violates {len(report.violated)} generator(s), e.g. "
-            + format_inequality(coefficients(report.violated[0]))
-        )
-    return double_lambda(v.shift(eps) if report.tight else v, lambda_cap)
+    if v.n > MAX_CONE_DIMENSION:
+        raise ValueError(f"cone systems are limited to 1 <= n <= {MAX_CONE_DIMENSION}")
+    tight = False
+    for ground in canonical_subset_order(v.n)[v.n:]:  # past the singletons
+        found = core_point(ground, v.entries)
+        if found is None:
+            raise NotInConeError(f"vector violates a uniform-cover inequality on {{{format_subset(ground)}}}")
+        tight = tight or found[0] == 0
+    return double_lambda(v.shift(eps) if tight else v, lambda_cap)
 
 
 def double_lambda(w: ProjectionVector, lambda_cap=DEFAULT_LAMBDA_CAP) -> RealizationResult:

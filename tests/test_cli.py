@@ -310,11 +310,13 @@ class TestUsageErrors:
         assert code == 2
         assert "error" in err
 
-    @pytest.mark.parametrize("argv", [["witness", "--n", "6"], ["system", "--n", "6"]],
-                             ids=["witness", "system"])
-    def test_cone_dimension_six_refused(self, argv):
+    @pytest.mark.parametrize("argv", [["witness", "--n", "6"], ["system", "--n", "6"],
+                                      ["realize", "--vector", "v6.json", "--out", "b.json"]],
+                             ids=["witness", "system", "realize"])
+    def test_cone_dimension_six_refused(self, tmp_path, argv):
         env = dict(os.environ, PYTHONPATH=str(Path(covercone.__file__).parent.parent))
-        proc = subprocess.run([sys.executable, "-m", "covercone", *argv],
+        write(tmp_path, "v6.json", json.dumps({"n": 6, "entries": {"1,2,3,4,5,6": "1"}}))
+        proc = subprocess.run([sys.executable, "-m", "covercone", *argv], cwd=tmp_path,
                               capture_output=True, text=True, env=env, timeout=10)
         assert proc.returncode == 2
         assert proc.stdout == ""

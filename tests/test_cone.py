@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_body, sample_bt3_vector, thicken
+from covercone import realize
 from covercone.boxgeom import log_projection_vector, projection_volume
 from covercone.cone import ConeSystem, build_bt_system, coefficients, core_point, format_inequality, margin, membership
 from covercone.core import ProjectionVector, canonical_subset_order, elements, subsets_of
@@ -99,12 +100,16 @@ class TestMembership:
     def test_scale_equivariance(self):
         system = build_bt_system(3)
         rng = random.Random(11)
+
+        def scaled(w, q):
+            return ProjectionVector(w.n, {m: x * q for m, x in w.entries.items()})
+
         for _ in range(25):
             v = sample_bt3_vector(rng)
             bad = v.shift(Fraction(-5))  # typically outside
             for q in (Fraction(1, 3), Fraction(7, 2), Fraction(12)):
-                assert membership(system, v.scale(q)).inside == membership(system, v).inside
-                assert membership(system, bad.scale(q)).inside == membership(system, bad).inside
+                assert membership(system, scaled(v, q)).inside == membership(system, v).inside
+                assert membership(system, scaled(bad, q)).inside == membership(system, bad).inside
 
     def test_redundant_generator_never_changes_verdict(self):
         system = build_bt_system(2)
@@ -137,36 +142,73 @@ def assert_core_point(ground, v, u):
 
 
 class TestCorePoint:
-    """core_point(Y, v) exists exactly when every generator on Y holds at v
-    (Bondareva-Shapley), and is then exactly a core point."""
+    """core_point(Y, v) gives a slack whose sign is the generator list's
+    verdict on Y (Bondareva-Shapley), and then exactly a core point."""
 
     @pytest.mark.parametrize("n,count", [(2, 40), (3, 30), (4, 20), (5, 20)])
     def test_matches_generator_list(self, n, count):
+        """Slack < 0 (None), = 0 and > 0 exactly when some generator on Y
+        fails, the smallest margin is 0, and every margin is positive."""
         rng = random.Random(600 + n)
         on_ground = {}
         for g in build_bt_system(n).generators:
             on_ground.setdefault(g.ground, []).append(g)
-        outcomes = {True: 0, False: 0}
+        outcomes = {"outside": 0, "tight": 0, "strict": 0}
         for _ in range(count):
             v = near_boundary_vector(rng, n)
             for ground, generators in on_ground.items():
-                u = core_point(ground, v)
-                holds = all(margin(g, v) >= 0 for g in generators)
-                assert (u is not None) == holds
-                outcomes[holds] += 1
-                if u is not None:
+                smallest = min(margin(g, v) for g in generators)
+                verdict = "outside" if smallest < 0 else "tight" if smallest == 0 else "strict"
+                found = core_point(ground, v)
+                if found is None:
+                    assert verdict == "outside"
+                else:
+                    slack, u = found
+                    assert verdict == ("tight" if slack == 0 else "strict")
                     assert_core_point(ground, v, u)
-        assert min(outcomes.values()) >= count // 4
+                outcomes[verdict] += 1
+        assert min(outcomes["outside"], outcomes["strict"]) >= count // 4 and outcomes["tight"] >= 3
+
+    @pytest.mark.parametrize("n,count", [(2, 40), (3, 30), (4, 20), (5, 20)])
+    def test_find_lambda_decides_as_membership(self, monkeypatch, n, count):
+        """find_lambda raises NotInConeError exactly when membership finds a
+        violated generator, and shifts exactly when it finds a tight one."""
+        eps = Fraction(1, 4)
+        handed = []
+        monkeypatch.setattr(realize, "double_lambda", lambda w, cap: handed.append(w))
+        system = build_bt_system(n)
+        rng = random.Random(700 + n)
+        outcomes = {"outside": 0, "tight": 0, "strict": 0}
+        for _ in range(count):
+            near = near_boundary_vector(rng, n)
+            for v in (near, near.shift(Fraction(1, 8)), near.shift(Fraction(1, 2))):
+                report = membership(system, v)
+                if not report.inside:
+                    with pytest.raises(realize.NotInConeError):
+                        realize.find_lambda(v, eps)
+                    outcomes["outside"] += 1
+                else:
+                    realize.find_lambda(v, eps)
+                    assert handed.pop() == (v.shift(eps) if report.tight else v)
+                    outcomes["tight" if report.tight else "strict"] += 1
+        assert min(outcomes.values()) >= 3
 
     def test_theorem9_vector_has_every_core_point(self):
         v = theorem9_vector(4)
         for ground in canonical_subset_order(4):
-            assert_core_point(ground, v, core_point(ground, v))
+            assert_core_point(ground, v, core_point(ground, v)[1])
 
     def test_violated_pair_has_none(self):
         v = ProjectionVector.from_entries(3, {0b011: Fraction(3), 0b001: Fraction(1), 0b010: Fraction(1)})
         assert core_point(0b011, v) is None
-        assert_core_point(0b111, v, core_point(0b111, v))
+        assert_core_point(0b111, v, core_point(0b111, v)[1])
+
+    def test_water_fill_lowers_only_the_top(self):
+        """On {1,2} with every cap loose the LP's duals are the caps 5 and 1;
+        the slack 6 - 2 = 4 comes off the larger one alone."""
+        slack, u = core_point(0b11, {0b01: Fraction(5), 0b10: Fraction(1), 0b11: Fraction(2)})
+        assert slack == 4
+        assert u == {1: Fraction(1), 2: Fraction(1)}
 
 
 class TestUniformCoverTheorem:

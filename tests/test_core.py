@@ -198,4 +198,3 @@ class TestVectorFiles:
     def test_vector_helpers(self):
         v = ProjectionVector.from_entries(2, {0b01: Fraction(1)})
         assert v.shift(Fraction(1, 2))[0b10] == Fraction(1, 2)
-        assert v.scale(Fraction(3))[0b01] == 3

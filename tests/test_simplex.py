@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import find, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from covercone import cone, farkas, simplex
@@ -157,6 +157,14 @@ def test_large_denominators_match_tableau(lp):
     assert outcome(solve_equality_lp, *lp) == outcome(tableau_lp, *lp)
 
 
+@pytest.mark.parametrize("lps", [small_lps, scaled_lps], ids=["small", "scaled"])
+def test_generators_reach_unbounded(lps):
+    """Both LP strategies above draw unbounded LPs, which the tableau calls
+    unbounded too, so the differential tests compare that status."""
+    lp = find(lps(), lambda lp: solve_equality_lp(*lp).status == UNBOUNDED, settings=settings(database=None))
+    assert tableau_lp(*lp).status == UNBOUNDED
+
+
 def check_against_linprog(rows, rhs, cost, res):
     """Exact certificate checks, then status, value and dual against HiGHS in
     floats.  An optimal dual is unique, and so comparable, when as many x_j
@@ -236,7 +244,9 @@ def test_implication_lp_pivots_pinned(monkeypatch, n, k_max, candidate, status, 
 
 def test_real_lps_match_tableau(monkeypatch, capsys, tmp_path):
     """The LPs of the n = 4 guess `imply --emit-body` path and of the n = 5
-    refutation at k <= 3, replayed through the dense tableau and HiGHS."""
+    refutation at k <= 3, replayed through the dense tableau and HiGHS.
+    None ends UNBOUNDED: each core-point LP is bounded, with every weight in
+    [0, 1]; test_generators_reach_unbounded covers that status."""
     solved = []
 
     def record(*args, **kwargs):
@@ -249,7 +259,7 @@ def test_real_lps_match_tableau(monkeypatch, capsys, tmp_path):
     imply_guess4(tmp_path, capsys)
     farkas.check_implication(build_bt_system(5, 3), GUESS5)
 
-    assert {res.status for _, res in solved} == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+    assert {res.status for _, res in solved} == {OPTIMAL, INFEASIBLE}
     assert max(len(args[0][0]) for args, _ in solved) == 1650
     compared = 0
     for args, res in solved:
