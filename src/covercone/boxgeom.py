@@ -9,7 +9,6 @@ stated decimal precision.
 from __future__ import annotations
 
 import json
-from collections import namedtuple
 from fractions import Fraction
 from math import floor
 from typing import NamedTuple, Optional, Sequence
@@ -18,7 +17,6 @@ from .core import (
     FormatError,
     ProjectionVector,
     canonical_subset_order,
-    check_dimension,
     elements,
     format_rational,
     load_object,
@@ -27,18 +25,11 @@ from .core import (
 )
 
 
-class Box(namedtuple("Box", "intervals")):
-    """Product of closed rational intervals, one per axis; lo == hi is allowed."""
+class Box(NamedTuple):
+    """Product of closed rational intervals, one per axis; lo == hi is allowed.
+    A plain record, like BoxUnionBody: read_body checks a body file's boxes."""
 
-    __slots__ = ()
-
-    def __new__(cls, intervals: tuple[tuple[Fraction, Fraction], ...]) -> "Box":
-        if not intervals:
-            raise ValueError("box needs at least one axis")
-        for lo, hi in intervals:
-            if lo > hi:
-                raise ValueError(f"empty interval [{lo}, {hi}]")
-        return super().__new__(cls, intervals)
+    intervals: tuple[tuple[Fraction, Fraction], ...]
 
     @property
     def n(self) -> int:
@@ -48,17 +39,11 @@ class Box(namedtuple("Box", "intervals")):
         return Box(tuple((lo + shift, hi + shift) for lo, hi in self.intervals))
 
 
-class BoxUnionBody(namedtuple("BoxUnionBody", "n boxes")):
-    __slots__ = ()
+class BoxUnionBody(NamedTuple):
+    """A nonempty union of n-dimensional boxes; checked only by read_body."""
 
-    def __new__(cls, n: int, boxes: tuple[Box, ...]) -> "BoxUnionBody":
-        check_dimension(n)
-        if not boxes:
-            raise ValueError("body needs at least one box")
-        for box in boxes:
-            if box.n != n:
-                raise ValueError("all boxes must share the body dimension")
-        return super().__new__(cls, n, boxes)
+    n: int
+    boxes: tuple[Box, ...]
 
 
 def projection_volume(body: BoxUnionBody, mask: int) -> Fraction:
@@ -126,7 +111,7 @@ class ProjectionProfile(NamedTuple):
                 "zero projection on "
                 + ", ".join("{" + ",".join(map(str, elements(m))) + "}" for m in zero)
             )
-        return ProjectionVector(self.n, {m: v for m, v in self.logs.items()})
+        return ProjectionVector(self.n, dict(self.logs))
 
 
 def log_projection_vector(body: BoxUnionBody) -> ProjectionProfile:

@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import json
 import re
-from collections import namedtuple
 from decimal import Decimal, Overflow, Underflow, localcontext
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 MAX_DIMENSION = 16
 
@@ -168,23 +167,14 @@ def canonical_subset_order(n: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # projection vectors
 
-class ProjectionVector(namedtuple("ProjectionVector", "n entries")):
+class ProjectionVector(NamedTuple):
     """Exact rational coordinates x_A indexed by the nonempty A subset [n].
 
-    Complete: every nonempty mask is present in `entries`.
-    """
+    Complete: every nonempty mask is present in `entries`.  A plain record,
+    checked only by from_entries, which read_vector calls."""
 
-    __slots__ = ()
-
-    def __new__(cls, n: int, entries: Mapping[int, Fraction]) -> "ProjectionVector":
-        check_dimension(n)
-        expected = (1 << n) - 1
-        if len(entries) != expected:
-            raise ValueError(f"projection vector needs {expected} entries, got {len(entries)}")
-        for mask in entries:
-            if not 0 < mask < (1 << n):
-                raise ValueError(f"mask {mask} out of range for n={n}")
-        return super().__new__(cls, n, entries)
+    n: int
+    entries: Mapping[int, Fraction]
 
     @classmethod
     def zero(cls, n: int) -> "ProjectionVector":
@@ -192,7 +182,8 @@ class ProjectionVector(namedtuple("ProjectionVector", "n entries")):
 
     @classmethod
     def from_entries(cls, n: int, entries: Mapping[int, Fraction]) -> "ProjectionVector":
-        """Build a complete vector; absent masks default to 0."""
+        """Build a complete vector; absent masks default to 0.  ValueError for
+        n or a mask out of range."""
         check_dimension(n)
         full = {m: Fraction(0) for m in range(1, 1 << n)}
         for mask, value in entries.items():

@@ -11,7 +11,6 @@ convex combinations of constructible vectors.
 from __future__ import annotations
 
 import json
-from collections import namedtuple
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -29,23 +28,22 @@ from .covers import UniformCover
 _M12, _M13, _M24, _M123, _M234 = 0b0011, 0b0101, 0b1010, 0b0111, 0b1110
 
 
-class SetFamily(namedtuple("SetFamily", "n members")):
-    """A duplicate-free collection of subsets of [n]; the empty set may occur."""
+class SetFamily(NamedTuple):
+    """A duplicate-free collection of subsets of [n]; the empty set may occur.
+    A plain record, checked only by from_members, which read_family calls."""
 
-    __slots__ = ()
-
-    def __new__(cls, n: int, members: tuple[int, ...]) -> "SetFamily":
-        check_dimension(n)
-        if len(set(members)) != len(members):
-            raise ValueError("family members must be distinct")
-        for m in members:
-            if m >> n:
-                raise ValueError(f"member {m} not a subset of [{n}]")
-        return super().__new__(cls, n, members)
+    n: int
+    members: tuple[int, ...]
 
     @classmethod
     def from_members(cls, n: int, members) -> "SetFamily":
-        return cls(n, tuple(sorted(set(members))))
+        """The distinct members, sorted; ValueError for n out of range or a member not in [n]."""
+        check_dimension(n)
+        members = tuple(sorted(set(members)))
+        for m in members:
+            if m >> n:
+                raise ValueError(f"member {m} not a subset of [{n}]")
+        return cls(n, members)
 
 
 class WitnessReport(NamedTuple):

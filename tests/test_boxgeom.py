@@ -204,9 +204,3 @@ class TestBodyFiles:
     def test_rejects_malformed(self, bad):
         with pytest.raises(FormatError):
             read_body(bad)
-
-    def test_box_validation(self):
-        with pytest.raises(ValueError, match=r"empty interval \[1, 0\]"):
-            box((1, 0))
-        with pytest.raises(ValueError, match="body needs at least one box"):
-            BoxUnionBody(2, ())

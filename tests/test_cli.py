@@ -13,7 +13,8 @@ import covercone
 from covercone.boxgeom import read_body, write_body, BoxUnionBody, Box
 from covercone.cli import build_parser, main
 from covercone.cone import build_bt_system
-from covercone.core import read_vector, write_vector, ProjectionVector
+from covercone.core import canonical_subset_order, read_vector, write_vector, ProjectionVector
+from covercone.witness import theorem9_vector
 
 
 def run(capsys, *argv):
@@ -194,6 +195,20 @@ class TestRealizeCommand:
         assert data["lambda"] == "2"
         body = read_body((tmp_path / "body.json").read_text())
         assert len(body.boxes) == 3
+
+    def test_epsilon_reaches_find_lambda(self, capsys, tmp_path):
+        """The tight theorem 9 vector v is realized as v + 1/8, not v + 1/4."""
+        v = theorem9_vector(4)
+        vec = write(tmp_path, "t9.json", write_vector(v))
+        body_path, back_path = str(tmp_path / "body.json"), str(tmp_path / "back.json")
+        code, out, _ = run(capsys, "realize", "--vector", vec, "--out", body_path, "--epsilon", "1/8")
+        assert code == 0
+        lam = F(json.loads(out)["lambda"])
+        assert run(capsys, "project", "--body", body_path, "--out", back_path)[0] == 0
+        back = read_vector(Path(back_path).read_text())
+        for eps, near in ((F(1, 8), True), (F(1, 4), False)):
+            gap = max(abs(back[m] - lam * (v[m] + eps)) for m in canonical_subset_order(4))
+            assert (gap <= F(1, 10**6)) is near, (eps, gap)
 
     def test_not_in_cone(self, capsys, tmp_path):
         vec = write(tmp_path, "bad.json", '{"n":2,"entries":{"1,2":"1"}}')

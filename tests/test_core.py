@@ -164,10 +164,9 @@ class TestVectorFiles:
             read_vector("not json")
 
     def test_constructor_checks(self):
-        with pytest.raises(ValueError, match="projection vector needs 3 entries, got 2"):
-            ProjectionVector(2, {1: Fraction(0), 2: Fraction(0)})
+        """from_entries is the vector's one check; read_vector calls it."""
         with pytest.raises(ValueError, match="mask 4 out of range for n=2"):
-            ProjectionVector(2, {1: Fraction(0), 2: Fraction(0), 4: Fraction(0)})
+            ProjectionVector.from_entries(2, {1: Fraction(0), 2: Fraction(0), 4: Fraction(0)})
 
     def test_write_zero_n1(self):
         assert json.loads(write_vector(ProjectionVector.zero(1))) == {

@@ -18,6 +18,7 @@ from covercone.core import (
     subsets_of,
 )
 from covercone.covers import irreducible_covers
+from covercone.farkas import LinearInequality, check_implication, violating_body
 from covercone.realize import (
     _SLACK,
     BoxSystemInfeasible,
@@ -433,3 +434,34 @@ class TestBodySize:
 
     def test_n8_body_round_trips(self):
         self.assert_round_trips(8, 16)
+
+
+class TestBuiltRecords:
+    """The package builds bodies and vectors as plain records, with no
+    check; each must be one its entry check accepts: read_body reads the
+    body back, and ProjectionVector.from_entries rebuilds the vector."""
+
+    @staticmethod
+    def assert_checked(w, result):
+        assert read_body(write_body(result.body)) == result.body
+        projected = result.profile.to_projection_vector()
+        for v in (w, projected, projected.shift(F(1, 8))):
+            assert v == ProjectionVector.from_entries(v.n, v.entries)
+
+    @pytest.mark.parametrize("name", sorted(PINNED_BODIES))
+    def test_pinned_bodies(self, name):
+        v, shifted, _, _ = PINNED_BODIES[name]
+        w = v.shift(F(1, 4)) if shifted else v
+        self.assert_checked(w, double_lambda(w))
+
+    def test_guess_body(self):
+        guess = LinearInequality.from_maps(
+            4, {0b0011: F(1), 0b0110: F(1), 0b1100: F(1)}, {0b0111: F(1), 0b1110: F(1)}
+        )
+        witness = check_implication(build_bt_system(4), guess).vector
+        report = violating_body(guess, witness)
+        self.assert_checked(witness.shift(report.shift_eps), report.realization)
+
+    def test_half_plus_modular_n5_body(self):
+        w = modular_plus_one((F(3, 4), F(-1, 2), F(1), F(-5, 4), F(1, 3))).shift(F(-1, 2))
+        self.assert_checked(w, double_lambda(w))

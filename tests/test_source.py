@@ -1,8 +1,9 @@
 """Static checks on the package source, parsed with the stdlib ast module.
 
-No linter is a test dependency, so these stand in for the two rules the
-package keeps: every imported name is used, and each public name has one
-import path, its defining module (the package itself re-exports nothing).
+No linter is a test dependency, so these stand in for the three rules the
+package keeps: every imported name is used, each public name has one
+import path, its defining module (the package itself re-exports nothing),
+and every record is a plain typing.NamedTuple.
 A last test imports the CLI in a fresh interpreter to check what it loads.
 """
 
@@ -61,6 +62,22 @@ def test_package_names_are_imported_from_their_modules():
             if package or relative:
                 bad += [f"{path.name}: {a.name}" for a in node.names if a.name not in SUBMODULES]
     assert not bad, f"non-module names imported from the package: {', '.join(bad)}"
+
+
+def test_records_are_plain_named_tuples():
+    """One record idiom: no module uses collections.namedtuple and no class
+    defines __new__, so no record constructor repeats its entry point's check."""
+    bad = []
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.ClassDef):
+                bad += [f"{path.name}: {node.name}.__new__" for item in node.body
+                        if isinstance(item, ast.FunctionDef) and item.name == "__new__"]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                bad += [f"{path.name}: imports {a.name}" for a in node.names if a.name == "namedtuple"]
+            elif isinstance(node, ast.Attribute) and node.attr == "namedtuple":
+                bad.append(f"{path.name}: line {node.lineno} uses namedtuple")
+    assert not bad, f"records outside the one idiom: {', '.join(bad)}"
 
 
 def test_cli_import_loads_every_traced_module_and_no_dataclasses():

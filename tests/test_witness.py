@@ -124,10 +124,10 @@ class TestShearer:
         assert report.holds
 
     def test_family_constructor_checks(self):
-        with pytest.raises(ValueError, match="family members must be distinct"):
-            SetFamily(2, (0b01, 0b01))
+        """from_members is the family's one check; read_family calls it and
+        also rejects a repeated member (test_duplicate_member_rejected)."""
         with pytest.raises(ValueError, match=r"member 4 not a subset of \[2\]"):
-            SetFamily(2, (0b100,))
+            SetFamily.from_members(2, [0b100])
 
     def test_coverage_violation(self):
         family = SetFamily.from_members(2, [0b01])
