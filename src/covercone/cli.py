@@ -4,9 +4,9 @@ Exit codes: 0 success, 1 negative domain verdict (not in cone, not implied,
 infeasible/inconclusive, zero projection), 2 usage errors or an input file
 that is malformed or unreadable, 3 resource limit, output or internal
 failure (any RuntimeError: an enumeration or pivot budget ran out, `imply
---emit-body` found no body within the lambda cap, exp left the decimal
-exponent range, or a self-check failed; an OSError writing `--out`,
-`--emit-body` or stdout); codes 2 and 3 print one `error: ...` line.
+--emit-body` got a witness outside the cone (a partial `--kmax`), exp left
+the decimal exponent range, or a self-check failed; an OSError writing
+`--out`, `--emit-body` or stdout); codes 2 and 3 print one `error: ...` line.
 """
 
 from __future__ import annotations
@@ -99,11 +99,10 @@ def cmd_imply(args) -> int:
     }
     if args.emit_body:
         report = farkas.violating_body(ineq, result.vector)
-        Path(args.emit_body).write_text(boxgeom.write_body(report.realization.body), encoding="utf-8")
+        Path(args.emit_body).write_text(boxgeom.write_body(report.body), encoding="utf-8")
         out["body_file"] = args.emit_body
         out["body"] = {
-            "lambda": format_rational(report.realization.lam),
-            "shift_eps": format_rational(report.shift_eps),
+            "lambda": str(report.lam),
             "exponent_scale": report.exponent_scale,
             "lhs_product": format_rational(report.lhs_product),
             "rhs_product": format_rational(report.rhs_product),

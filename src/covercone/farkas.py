@@ -5,18 +5,18 @@ A candidate  sum alpha_A x_A >= sum beta_B x_B  holds on the whole cone iff
 its coefficient vector is a nonnegative combination of the generator
 inequalities.  That feasibility question is solved exactly; the Farkas dual
 of an infeasible system is a cone vector on which the candidate fails, and
-the realization machinery then turns it into an actual box-union body whose
-exact projection volumes violate the candidate.
+its core points give a box-union body whose exact volumes violate it.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import lcm
+from math import ceil, floor, lcm
 from typing import Mapping, NamedTuple, Union
 
-from .cone import ConeSystem, coefficients, membership
+from .boxgeom import Box, BoxUnionBody, disjoint_offset, projection_volume
+from .cone import ConeSystem, coefficients, core_point, membership
 from .core import (
     FormatError,
     ProjectionVector,
@@ -28,7 +28,6 @@ from .core import (
     read_subset_map,
 )
 from .covers import cover_to_obj
-from .realize import RealizationResult, double_lambda
 from .simplex import INFEASIBLE, OPTIMAL, solve_equality_lp
 
 
@@ -119,15 +118,14 @@ def check_implication(system: ConeSystem, ineq: LinearInequality) -> Union[Farka
 
 
 class ViolationReport(NamedTuple):
-    """A body (realization.body) refuting the candidate, with the exact
-    integer-exponent check.
+    """The body built at scaling lam, with the exact integer-exponent check.
 
     The candidate holds iff prod |T_A|^(scale*alpha_A) >= prod |T_B|^(scale*beta_B)
     where scale clears all coefficient denominators; violated means strict <.
     """
 
-    realization: RealizationResult
-    shift_eps: Fraction
+    lam: int
+    body: BoxUnionBody
     exponent_scale: int
     lhs_product: Fraction
     rhs_product: Fraction
@@ -138,38 +136,41 @@ class ViolationReport(NamedTuple):
 
 
 def violating_body(ineq: LinearInequality, witness: ProjectionVector) -> ViolationReport:
-    """Turn a separating witness into an actual counterexample body.
+    """Turn a separating witness x into a counterexample body, at one lam fixed up front.
 
-    The witness is shifted by an eps small enough to keep the candidate
-    violated and realized by double_lambda; no cone is read.  A nontrivial
-    irreducible cover has more parts than its multiplicity (l > k), so any
-    cone vector shifted by eps > 0 is strictly inside.  A witness outside
-    the cone gets no body at any lambda and ends in InconclusiveError.  The
-    violation is re-verified on exact projection volumes, so a body returned
-    is a proof.
+    One box per ground Y: side 2^floor(lam u_i) on each axis i of Y for the
+    core point u = core_point(Y, x), a point off Y, placed disjointly.  So
+    |T_A| sums the side products on A over the 2^(n-|A|) grounds Y
+    containing A; as u(S) <= x_S inside Y and u(Y) = x_Y, each term is at
+    most 2^(lam x_A) and the one for Y = A exceeds 2^(lam x_A - |A|) (Kalai &
+    Zemel 1982).  So c.log2|T| < n ||c||_1 - lam delta with delta = -c.x > 0,
+    and lam = ceil(n ||c||_1 / delta) suffices.  Raises ValueError
+    unless delta > 0, and RuntimeError naming a ground with no core point,
+    where x is outside the cone.  The violation is re-checked on exact
+    volumes, so a body returned is a proof.
     """
-    value = ineq.evaluate(witness)
-    if value >= 0:
+    delta = -ineq.evaluate(witness)
+    if delta <= 0:
         raise ValueError("witness does not violate the inequality")
-    # the shift moves the candidate's value by shift_eps * coeff_sum, which
-    # leaves at least half of the violation
-    coeff_sum = sum(ineq.coeffs.values(), Fraction(0))
-    if coeff_sum > 0:
-        shift_eps = min(Fraction(1), -value / (2 * coeff_sum))
-    else:
-        shift_eps = Fraction(1)
-    realization = double_lambda(witness.shift(shift_eps))
+    lam = ceil(ineq.n * sum(abs(c) for c in ineq.coeffs.values()) / delta)
+    boxes = []
+    for ground in canonical_subset_order(ineq.n):
+        found = core_point(ground, witness.entries)
+        if found is None:
+            raise RuntimeError(f"witness is outside the cone on {{{format_subset(ground)}}}")
+        sides = {i: Fraction(2) ** floor(lam * u) for i, u in found[1].items()}
+        boxes.append(Box(tuple((Fraction(0), sides.get(axis, Fraction(0))) for axis in range(1, ineq.n + 1))))
+    body = disjoint_offset(boxes)
 
     scale = lcm(*(c.denominator for c in ineq.coeffs.values()))
-    volumes = realization.profile.volumes
     lhs_product = rhs_product = Fraction(1)
     for mask, c in ineq.coeffs.items():
-        power = volumes[mask] ** int(abs(c) * scale)
+        power = projection_volume(body, mask) ** int(abs(c) * scale)
         if c > 0:
             lhs_product *= power
         else:
             rhs_product *= power
-    out = ViolationReport(realization, shift_eps, scale, lhs_product, rhs_product)
+    out = ViolationReport(lam, body, scale, lhs_product, rhs_product)
     if not out.violated:
         raise RuntimeError("constructed body does not violate the inequality")
     return out

@@ -130,13 +130,13 @@ def test_criterion_4_farkas_soundness():
     assert guess.evaluate(result.vector) == -1
     body_report = violating_body(guess, result.vector)
     assert body_report.violated
-    assert body_report.realization.lam == 8
+    assert body_report.lam == 20
     lhs = F(1)
     for mask in (0b0011, 0b0110, 0b1100):
-        lhs *= projection_volume(body_report.realization.body, mask)
+        lhs *= projection_volume(body_report.body, mask)
     rhs = F(1)
     for mask in (0b0111, 0b1110):
-        rhs *= projection_volume(body_report.realization.body, mask)
+        rhs *= projection_volume(body_report.body, mask)
     assert lhs < rhs
     elapsed = time.perf_counter() - start
     _report(4, f"{len(system.generators)} certificates exact; guess refuted by a body", elapsed, 20.0)

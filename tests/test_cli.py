@@ -154,6 +154,8 @@ class TestImplyCommand:
         assert code == 1
         data = json.loads(out)
         assert data["body"]["violated"] is True
+        assert data["body"]["lambda"] == "20"  # 4 * ||c||_1, fixed up front
+        assert "shift_eps" not in data["body"]
         body = read_body((tmp_path / "body.json").read_text())
         assert body.n == 4
 
@@ -164,8 +166,8 @@ class TestImplyCommand:
         assert run(capsys, "imply", "--inequality", path, "--kmax", "8") == complete
 
     def test_emit_body_computes_each_volume_once(self, capsys, tmp_path, monkeypatch):
-        """The guess body's 15 projection volumes are computed once, by the
-        realization, and the violation check reads them from its profile."""
+        """Only the guess's five masks get a projection volume, each once, in
+        the violation check; building the body computes none."""
         from covercone import boxgeom
 
         real = boxgeom.projection_volume
@@ -181,7 +183,7 @@ class TestImplyCommand:
         path = write(tmp_path, "guess.json", GUESS)
         code, _, _ = run(capsys, "imply", "--inequality", path, "--emit-body", str(tmp_path / "b.json"))
         assert code == 1
-        assert sorted(calls) == list(range(1, 16))
+        assert sorted(calls) == [0b0011, 0b0110, 0b0111, 0b1100, 0b1110]
 
 
 class TestRealizeCommand:
@@ -382,19 +384,21 @@ class TestUsageErrors:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "argv, name, text",
+        "argv, name, text, detail",
+        # the k <= 2 cone refutes Loomis-Whitney with a witness outside the complete cone
         [(["imply", "--inequality", "in.json", "--kmax", "2", "--emit-body", "b.json"],
-          "in.json", LW4),
+          "in.json", LW4, "witness is outside the cone on {1,2,3,4}"),
          (["realize", "--vector", "in.json", "--out", "b.json"],
-          "in.json", '{"n":1,"entries":{"1":"10000000"}}'),
+          "in.json", '{"n":1,"entries":{"1":"10000000"}}', "leaves the decimal exponent range"),
          (["realize", "--vector", "in.json", "--out", "b.json"],
-          "in.json", '{"n":1,"entries":{"1":"-10000000"}}'),
+          "in.json", '{"n":1,"entries":{"1":"-10000000"}}', "leaves the decimal exponent range"),
          # a valid vector whose body has a term past the interpreter's digit limit
          (["realize", "--vector", "in.json", "--out", "b.json"],
-          "in.json", '{"n":2,"entries":{"1":"12000","2":"12000","1,2":"12000"}}')],
-        ids=["emit-body-inconclusive", "exp-overflow", "exp-underflow", "body-past-digit-limit"],
+          "in.json", '{"n":2,"entries":{"1":"12000","2":"12000","1,2":"12000"}}',
+          "past the interpreter's limit on integer digits")],
+        ids=["emit-body-outside-cone", "exp-overflow", "exp-underflow", "body-past-digit-limit"],
     )
-    def test_gives_up_with_one_error_line(self, tmp_path, argv, name, text):
+    def test_gives_up_with_one_error_line(self, tmp_path, argv, name, text, detail):
         env = dict(os.environ, PYTHONPATH=str(Path(covercone.__file__).parent.parent))
         write(tmp_path, name, text)
         proc = subprocess.run([sys.executable, "-m", "covercone", *argv], cwd=tmp_path,
@@ -404,6 +408,7 @@ class TestUsageErrors:
         assert proc.stderr.startswith("error: ")
         assert proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
+        assert detail in proc.stderr
         assert not (tmp_path / "b.json").exists()
 
     @pytest.mark.parametrize("argv, stdout_closed, code", [

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import axiswise_disjoint, sample_bt3_vector
 from covercone import cone, realize
-from covercone.boxgeom import projection_volume, read_body, write_body
+from covercone.boxgeom import log_projection_vector, projection_volume, read_body, write_body
 from covercone.cone import build_bt_system, membership
 from covercone.core import (
     ProjectionVector,
@@ -442,9 +442,9 @@ class TestBuiltRecords:
     body back, and ProjectionVector.from_entries rebuilds the vector."""
 
     @staticmethod
-    def assert_checked(w, result):
-        assert read_body(write_body(result.body)) == result.body
-        projected = result.profile.to_projection_vector()
+    def assert_checked(w, body, profile):
+        assert read_body(write_body(body)) == body
+        projected = profile.to_projection_vector()
         for v in (w, projected, projected.shift(F(1, 8))):
             assert v == ProjectionVector.from_entries(v.n, v.entries)
 
@@ -452,7 +452,8 @@ class TestBuiltRecords:
     def test_pinned_bodies(self, name):
         v, shifted, _, _ = PINNED_BODIES[name]
         w = v.shift(F(1, 4)) if shifted else v
-        self.assert_checked(w, double_lambda(w))
+        result = double_lambda(w)
+        self.assert_checked(w, result.body, result.profile)
 
     def test_guess_body(self):
         guess = LinearInequality.from_maps(
@@ -460,8 +461,9 @@ class TestBuiltRecords:
         )
         witness = check_implication(build_bt_system(4), guess).vector
         report = violating_body(guess, witness)
-        self.assert_checked(witness.shift(report.shift_eps), report.realization)
+        self.assert_checked(witness, report.body, log_projection_vector(report.body))
 
     def test_half_plus_modular_n5_body(self):
         w = modular_plus_one((F(3, 4), F(-1, 2), F(1), F(-5, 4), F(1, 3))).shift(F(-1, 2))
-        self.assert_checked(w, double_lambda(w))
+        result = double_lambda(w)
+        self.assert_checked(w, result.body, result.profile)

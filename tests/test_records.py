@@ -28,8 +28,7 @@ RECORDS = {
     "LinearInequality": (lambda: LinearInequality.from_maps(2, {1: 1, 2: 1}, {3: 1}), "coeffs"),
     "FarkasCertificate": (lambda: FarkasCertificate({0: Fraction(1)}), "weights"),
     "SeparatingWitness": (lambda: SeparatingWitness(ProjectionVector.zero(2)), "vector"),
-    "ViolationReport": (lambda: ViolationReport(_realization(), Fraction(1), 1, Fraction(1), Fraction(2)),
-                        "lhs_product"),
+    "ViolationReport": (lambda: ViolationReport(1, BODY, 1, Fraction(1), Fraction(2)), "lhs_product"),
     "Box": (lambda: BODY.boxes[0], "intervals"),
     "BoxUnionBody": (lambda: BODY, "boxes"),
     "ProjectionProfile": (lambda: log_projection_vector(BODY), "volumes"),

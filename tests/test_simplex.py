@@ -206,7 +206,7 @@ def test_matches_linprog(lp):
 
 def imply_guess4(tmp_path, capsys):
     """Run the n = 4 guess through `imply --emit-body`: one implication LP,
-    then the step LPs of realization."""
+    then one core-point LP of the witness per ground of two or more elements."""
     guess = tmp_path / "guess.json"
     guess.write_text('{"n": 4, "lhs": {"1,2": "1", "2,3": "1", "3,4": "1"}, '
                      '"rhs": {"1,2,3": "1", "2,3,4": "1"}}', encoding="utf-8")
