@@ -7,16 +7,31 @@ failure (any RuntimeError: an enumeration or pivot budget ran out, `imply
 --emit-body` got a witness outside the cone (a partial `--kmax`), exp left
 the decimal exponent range, or a self-check failed; an OSError writing
 `--out`, `--emit-body` or stdout); codes 2 and 3 print one `error: ...` line.
+
+Importing this module registers every other submodule in sys.modules, but a
+submodule runs only on its first attribute access, so a command compiles only
+the modules it calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import sys
 from fractions import Fraction
 from pathlib import Path
+
+for _name in ("boxgeom", "cone", "covers", "farkas", "realize", "simplex", "witness"):
+    if f"{__package__}.{_name}" not in sys.modules:
+        _spec = importlib.util.find_spec(f"{__package__}.{_name}")
+        _spec.loader = importlib.util.LazyLoader(_spec.loader)
+        _module = importlib.util.module_from_spec(_spec)
+        sys.modules[_spec.name] = _module
+        # set before any `from . import`, which would otherwise read the spec and run it
+        setattr(sys.modules[__package__], _name, _module)
+        _spec.loader.exec_module(_module)
 
 from . import boxgeom, cone, covers, farkas, realize, witness
 from .core import (
@@ -115,7 +130,7 @@ def cmd_imply(args) -> int:
 def cmd_realize(args) -> int:
     v = read_vector(_read_text(args.vector))
     eps = parse_rational(args.epsilon)
-    cap = parse_rational(args.lambda_cap)
+    cap = realize.DEFAULT_LAMBDA_CAP if args.lambda_cap is None else parse_rational(args.lambda_cap)
     try:
         result = realize.find_lambda(v, eps, cap)
     except realize.NotInConeError as exc:
@@ -239,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("realize", help="construct a body for a scaled interior vector")
     p.add_argument("--vector", required=True)
     p.add_argument("--epsilon", default="1/4")
-    p.add_argument("--lambda-cap", default=str(realize.DEFAULT_LAMBDA_CAP))
+    p.add_argument("--lambda-cap")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_realize)
 

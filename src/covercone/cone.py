@@ -14,8 +14,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping, NamedTuple, Optional
 
+from . import covers
 from .core import ProjectionVector, canonical_subset_order, elements, format_rational, format_subset, subsets_of
-from .covers import UniformCover, irreducible_covers
 from .simplex import solve_equality_lp
 
 #: the default k <= |Y| system is proved complete up to here; n = 6 does not
@@ -23,7 +23,7 @@ from .simplex import solve_equality_lp
 MAX_CONE_DIMENSION = 5
 
 
-def coefficients(cover: UniformCover) -> dict[int, int]:
+def coefficients(cover: covers.UniformCover) -> dict[int, int]:
     """mask -> c of sum_i x_{Y_i} - k * x_Y, netted, nonzero, in mask order."""
     coeffs: dict[int, int] = {}
     for part in cover.parts:
@@ -32,7 +32,7 @@ def coefficients(cover: UniformCover) -> dict[int, int]:
     return {mask: c for mask, c in sorted(coeffs.items()) if c != 0}
 
 
-def margin(cover: UniformCover, v: Mapping[int, Fraction] | ProjectionVector) -> Fraction | int:
+def margin(cover: covers.UniformCover, v: Mapping[int, Fraction] | ProjectionVector) -> Fraction | int:
     """sum_i v_{Y_i} - k*v_Y; nonnegative iff the inequality holds at v.
 
     v maps each mask to an int or a Fraction; the margin is of the same kind.
@@ -51,7 +51,7 @@ def format_inequality(coeffs: Mapping[int, Fraction]) -> str:
 
 class ConeSystem(NamedTuple):
     n: int
-    generators: tuple[UniformCover, ...]
+    generators: tuple[covers.UniformCover, ...]
 
     def h_representation(self) -> str:
         return "\n".join(format_inequality(coefficients(g)) for g in self.generators)
@@ -59,8 +59,8 @@ class ConeSystem(NamedTuple):
 
 class MembershipReport(NamedTuple):
     inside: bool
-    violated: tuple[UniformCover, ...]
-    tight: tuple[UniformCover, ...]
+    violated: tuple[covers.UniformCover, ...]
+    tight: tuple[covers.UniformCover, ...]
 
 
 def build_bt_system(n: int, k_max: Optional[int] = None) -> ConeSystem:
@@ -74,7 +74,7 @@ def build_bt_system(n: int, k_max: Optional[int] = None) -> ConeSystem:
     generators = []
     for ground in canonical_subset_order(n):
         size = ground.bit_count()
-        for cover in irreducible_covers(ground, size if k_max is None else min(k_max, size)):
+        for cover in covers.irreducible_covers(ground, size if k_max is None else min(k_max, size)):
             if not cover.trivial:
                 generators.append(cover)
     return ConeSystem(n, tuple(generators))

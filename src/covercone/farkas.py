@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import ceil, floor, lcm
 from typing import Mapping, NamedTuple, Union
 
-from .boxgeom import Box, BoxUnionBody, disjoint_offset, projection_volume
+from . import boxgeom
 from .cone import ConeSystem, coefficients, core_point, membership
 from .core import (
     FormatError,
@@ -125,7 +125,7 @@ class ViolationReport(NamedTuple):
     """
 
     lam: int
-    body: BoxUnionBody
+    body: boxgeom.BoxUnionBody
     exponent_scale: int
     lhs_product: Fraction
     rhs_product: Fraction
@@ -159,13 +159,13 @@ def violating_body(ineq: LinearInequality, witness: ProjectionVector) -> Violati
         if found is None:
             raise RuntimeError(f"witness is outside the cone on {{{format_subset(ground)}}}")
         sides = {i: Fraction(2) ** floor(lam * u) for i, u in found[1].items()}
-        boxes.append(Box(tuple((Fraction(0), sides.get(axis, Fraction(0))) for axis in range(1, ineq.n + 1))))
-    body = disjoint_offset(boxes)
+        boxes.append(boxgeom.Box(tuple((Fraction(0), sides.get(axis, Fraction(0))) for axis in range(1, ineq.n + 1))))
+    body = boxgeom.disjoint_offset(boxes)
 
     scale = lcm(*(c.denominator for c in ineq.coeffs.values()))
     lhs_product = rhs_product = Fraction(1)
     for mask, c in ineq.coeffs.items():
-        power = projection_volume(body, mask) ** int(abs(c) * scale)
+        power = boxgeom.projection_volume(body, mask) ** int(abs(c) * scale)
         if c > 0:
             lhs_product *= power
         else:

@@ -227,6 +227,20 @@ class TestRealizeCommand:
         assert code == 1
         assert json.loads(out)["reason"] == "inconclusive"
 
+    def test_lambda_cap_defaults_to_realize_default(self, capsys, tmp_path):
+        """Without --lambda-cap the doubling stops at realize.DEFAULT_LAMBDA_CAP
+        (1024); this vector, x_12 = -1/4096 below x_1 + x_2 = 0, first
+        realizes at lambda = 8192."""
+        from covercone import realize
+
+        vec = write(tmp_path, "tiny.json", '{"n": 2, "entries": {"1": "0", "2": "0", "1,2": "-1/4096"}}')
+        code, out, _ = run(capsys, "realize", "--vector", vec, "--out", str(tmp_path / "x.json"))
+        assert code == 1
+        data = json.loads(out)
+        assert data["reason"] == "inconclusive"
+        assert data["lambda_cap"] == str(realize.DEFAULT_LAMBDA_CAP) == "1024"
+        assert not (tmp_path / "x.json").exists()
+
 
 class TestProjectCommand:
     def test_positive_body(self, capsys, tmp_path):

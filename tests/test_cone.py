@@ -52,7 +52,7 @@ class TestBuildSystem:
     def test_no_ground_searched_past_its_size(self, monkeypatch, k_max):
         """Each ground Y asks for k <= min(k_max, |Y|), the complete cone's
         bound, so a k_max >= n adds no search."""
-        from covercone import cone
+        from covercone import covers
 
         asked = {}
 
@@ -60,7 +60,7 @@ class TestBuildSystem:
             asked[ground] = bound
             return []
 
-        monkeypatch.setattr(cone, "irreducible_covers", spy)
+        monkeypatch.setattr(covers, "irreducible_covers", spy)
         assert build_bt_system(5, k_max).generators == ()
         cap = 5 if k_max is None else k_max
         assert asked == {g: min(cap, g.bit_count()) for g in range(1, 32)}

@@ -4,13 +4,17 @@ No linter is a test dependency, so these stand in for the three rules the
 package keeps: every imported name is used, each public name has one
 import path, its defining module (the package itself re-exports nothing),
 and every record is a plain typing.NamedTuple.
-A last test imports the CLI in a fresh interpreter to check what it loads.
+The last tests run the CLI in fresh interpreters: its import registers every
+module that bench/tracer.py traces and loads no dataclasses, each command runs
+only the modules it calls, and the tracer still sees every layer.
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -80,16 +84,79 @@ def test_records_are_plain_named_tuples():
     assert not bad, f"records outside the one idiom: {', '.join(bad)}"
 
 
+def _run(argv, cwd=None, **kwargs):
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env,
+                          cwd=cwd, timeout=60, **kwargs)
+
+
 def test_cli_import_loads_every_traced_module_and_no_dataclasses():
-    """A cold `import covercone.cli` skips `dataclasses` and `inspect`, whose
-    import is a fifth of a small query, and loads every module that
-    bench/tracer.py's Tracer.install reads from sys.modules."""
+    """A cold `import covercone.cli` registers every module that
+    bench/tracer.py's Tracer.install reads from sys.modules.  Once all of
+    them have run (vars() runs a lazily loaded one), `dataclasses` and
+    `inspect`, whose import is a fifth of a small query, are still absent."""
     tree = _tree(ROOT / "bench" / "tracer.py")
     traced = next(ast.literal_eval(node.value) for node in tree.body
                   if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TRACED"])
-    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    proc = subprocess.run([sys.executable, "-c", "import sys, covercone.cli; print(*sys.modules)"],
-                          capture_output=True, text=True, env=env, timeout=30, check=True)
-    loaded = set(proc.stdout.split())
+    code = ("import sys, covercone.cli\n"
+            "for name in [n for n in sys.modules if n.startswith('covercone.')]: vars(sys.modules[name])\n"
+            "print(*sys.modules)")
+    loaded = set(_run(["-c", code], check=True).stdout.split())
     assert not {"dataclasses", "inspect"} & loaded
     assert {f"covercone.{module}" for module in traced} <= loaded
+
+
+CORE = {"cli", "core"}
+MEMBER = CORE | {"cone", "covers", "simplex"}
+GUESS4 = {"n": 4, "lhs": {"1,2": "1", "2,3": "1", "3,4": "1"}, "rhs": {"1,2,3": "1", "2,3,4": "1"}}
+
+# a command's output files are the inputs of the ones after it
+COMMANDS = [
+    (["--help"], CORE),
+    (["realize", "--vector", "ones.json", "--out", "body.json"],
+     CORE | {"boxgeom", "cone", "simplex", "realize"}),
+    (["project", "--body", "body.json", "--out", "back.json"], CORE | {"boxgeom"}),
+    (["member", "--vector", "back.json"], MEMBER),
+    (["witness", "--n", "4"], MEMBER | {"witness"}),
+    (["imply", "--inequality", "guess4.json"], MEMBER | {"farkas"}),
+    (["imply", "--inequality", "guess4.json", "--emit-body", "b.json"], MEMBER | {"farkas", "boxgeom"}),
+]
+
+
+def test_each_command_runs_only_the_modules_it_calls(tmp_path):
+    """A module registered by `import covercone.cli` but never used stays a
+    lazy module, whose type is not types.ModuleType, so it is not compiled."""
+    (tmp_path / "ones.json").write_text('{"n": 2, "entries": {"1": "1", "2": "1", "1,2": "1"}}')
+    (tmp_path / "guess4.json").write_text(json.dumps(GUESS4))
+    code = ("import sys, types\n"
+            "from covercone.cli import main\n"
+            "try: main(sys.argv[1:])\n"
+            "except SystemExit: pass\n"
+            "print(*sorted(n for n, m in sys.modules.items() if n.startswith('covercone.')"
+            " and type(m) is types.ModuleType), file=sys.stderr)")
+    for argv, expected in COMMANDS:
+        proc = _run(["-c", code, *argv], cwd=tmp_path)
+        ran = proc.stderr.splitlines()[-1].split()
+        assert ran == sorted(f"covercone.{name}" for name in expected), argv
+
+
+def test_bench_tracer_sees_every_layer(tmp_path):
+    """bench/tracer.py gives `imply --emit-body` on the n = 4 guess the exit
+    code, stdout and body of `python -m covercone`, and a span for each
+    layer call, though the CLI loads its modules lazily."""
+    (tmp_path / "guess4.json").write_text(json.dumps(GUESS4))
+    argv = ["imply", "--inequality", "../guess4.json", "--emit-body", "b.json"]
+    for name in ("plain", "traced"):
+        (tmp_path / name).mkdir()
+    plain = _run(["-m", "covercone", *argv], cwd=tmp_path / "plain")
+    traced = _run([str(ROOT / "bench" / "tracer.py"), "spans.json", *argv], cwd=tmp_path / "traced")
+    assert plain.returncode == 1
+    assert (traced.returncode, traced.stdout) == (plain.returncode, plain.stdout)
+    assert (tmp_path / "traced" / "b.json").read_bytes() == (tmp_path / "plain" / "b.json").read_bytes()
+    spans = json.loads((tmp_path / "traced" / "spans.json").read_text())["spans"]
+    assert Counter(span[0] for span in spans) == {
+        "cli.main": 1, "covers.irreducible_covers": 15, "simplex.solve_equality_lp": 12,
+        "boxgeom.projection_volume": 5, "farkas.check_implication": 1, "cone.build_bt_system": 1,
+        "cone.membership": 1, "farkas.violating_body": 1, "boxgeom.disjoint_offset": 1,
+        "boxgeom.write_body": 1, "farkas.read_inequality": 1,
+    }
