@@ -10,7 +10,8 @@ the decimal exponent range, or a self-check failed; an OSError writing
 
 Importing this module registers every other submodule in sys.modules, but a
 submodule runs only on its first attribute access, so a command compiles only
-the modules it calls.
+the modules it calls.  They reach each other only as `module.name`, never by
+a from-import, so running one runs no other that the command does not call.
 """
 
 from __future__ import annotations

@@ -14,9 +14,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping, NamedTuple, Optional
 
-from . import covers
+from . import covers, simplex
 from .core import ProjectionVector, canonical_subset_order, elements, format_rational, format_subset, subsets_of
-from .simplex import solve_equality_lp
 
 #: the default k <= |Y| system is proved complete up to here; n = 6 does not
 #: end in minutes and no complete generator list for it is known
@@ -107,7 +106,7 @@ def core_point(ground: int, values: Mapping[int, Fraction]) -> Optional[tuple[Op
     values maps each nonempty subset of ground to a rational.  The slack is
     min sum of w_A values[A] - values[ground] over the balanced weightings
     w >= 0 of the proper subsets A (sum of w_A over A containing i = 1 for
-    each element i), from one solve_equality_lp call with those rows in
+    each element i), from one simplex.solve_equality_lp with those rows in
     element order and columns w_A in (size, mask) order.  The LP is feasible
     (singletons) and bounded (w_A <= 1).  A k-uniform cover is the weighting
     (multiplicity of A)/k, and the minimum is reached at an irreducible
@@ -125,8 +124,8 @@ def core_point(ground: int, values: Mapping[int, Fraction]) -> Optional[tuple[Op
     if len(elems) == 1:
         return None, {elems[0]: values[ground]}
     caps = sorted(subsets_of(ground), key=lambda a: (a.bit_count(), a))[:-1]  # the ground sorts last
-    res = solve_equality_lp([[a >> (e - 1) & 1 for a in caps] for e in elems], [1] * len(elems),
-                            [values[a] for a in caps])
+    res = simplex.solve_equality_lp([[a >> (e - 1) & 1 for a in caps] for e in elems], [1] * len(elems),
+                                    [values[a] for a in caps])
     slack = res.objective - values[ground]
     if slack < 0:
         return None

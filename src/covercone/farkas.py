@@ -15,8 +15,7 @@ from fractions import Fraction
 from math import ceil, floor, lcm
 from typing import Mapping, NamedTuple, Union
 
-from . import boxgeom
-from .cone import ConeSystem, coefficients, core_point, membership
+from . import boxgeom, cone, covers, simplex
 from .core import (
     FormatError,
     ProjectionVector,
@@ -27,8 +26,6 @@ from .core import (
     load_object,
     read_subset_map,
 )
-from .covers import cover_to_obj
-from .simplex import INFEASIBLE, OPTIMAL, solve_equality_lp
 
 
 class LinearInequality(NamedTuple):
@@ -71,7 +68,7 @@ class SeparatingWitness(NamedTuple):
     vector: ProjectionVector
 
 
-def check_implication(system: ConeSystem, ineq: LinearInequality) -> Union[FarkasCertificate, SeparatingWitness]:
+def check_implication(system: cone.ConeSystem, ineq: LinearInequality) -> Union[FarkasCertificate, SeparatingWitness]:
     """Decide whether the candidate is a nonnegative combination of generators.
 
     Exact rational feasibility; on failure the phase-1 Farkas dual yields the
@@ -91,25 +88,25 @@ def check_implication(system: ConeSystem, ineq: LinearInequality) -> Union[Farka
         for part in g.parts:
             rows[index[part]][j] += 1
         rows[index[g.ground]][j] -= g.k
-    res = solve_equality_lp(rows, target, [0] * len(generators))
+    res = simplex.solve_equality_lp(rows, target, [0] * len(generators))
 
-    if res.status == OPTIMAL:
+    if res.status == simplex.OPTIMAL:
         weights = {j: w for j, w in enumerate(res.x) if w != 0}
         recon = [Fraction(0)] * len(order)
         for j, w in weights.items():
-            for mask, c in coefficients(generators[j]).items():
+            for mask, c in cone.coefficients(generators[j]).items():
                 recon[index[mask]] += w * c
         if recon != target:
             raise RuntimeError("certificate failed exact reconstruction")
         return FarkasCertificate(weights)
 
-    if res.status != INFEASIBLE:
+    if res.status != simplex.INFEASIBLE:
         raise RuntimeError(f"implication LP unexpectedly {res.status}")
     y = res.farkas_dual
     gap = sum(yi * ti for yi, ti in zip(y, target))  # = y.target > 0
     entries = {mask: -y[i] / gap for i, mask in enumerate(order)}
     witness = ProjectionVector.from_entries(system.n, entries)
-    if not membership(system, witness).inside:
+    if not cone.membership(system, witness).inside:
         raise RuntimeError("separating witness failed cone membership")
     value = ineq.evaluate(witness)
     if value != -1:
@@ -139,8 +136,8 @@ def violating_body(ineq: LinearInequality, witness: ProjectionVector) -> Violati
     """Turn a separating witness x into a counterexample body, at one lam fixed up front.
 
     One box per ground Y: side 2^floor(lam u_i) on each axis i of Y for the
-    core point u = core_point(Y, x), a point off Y, placed disjointly.  So
-    |T_A| sums the side products on A over the 2^(n-|A|) grounds Y
+    core point u = cone.core_point(Y, x), a point off Y, placed disjointly.
+    So |T_A| sums the side products on A over the 2^(n-|A|) grounds Y
     containing A; as u(S) <= x_S inside Y and u(Y) = x_Y, each term is at
     most 2^(lam x_A) and the one for Y = A exceeds 2^(lam x_A - |A|) (Kalai &
     Zemel 1982).  So c.log2|T| < n ||c||_1 - lam delta with delta = -c.x > 0,
@@ -155,7 +152,7 @@ def violating_body(ineq: LinearInequality, witness: ProjectionVector) -> Violati
     lam = ceil(ineq.n * sum(abs(c) for c in ineq.coeffs.values()) / delta)
     boxes = []
     for ground in canonical_subset_order(ineq.n):
-        found = core_point(ground, witness.entries)
+        found = cone.core_point(ground, witness.entries)
         if found is None:
             raise RuntimeError(f"witness is outside the cone on {{{format_subset(ground)}}}")
         sides = {i: Fraction(2) ** floor(lam * u) for i, u in found[1].items()}
@@ -198,11 +195,11 @@ def write_inequality(ineq: LinearInequality) -> str:
     )
 
 
-def certificate_to_obj(system: ConeSystem, cert: FarkasCertificate) -> list[dict]:
+def certificate_to_obj(system: cone.ConeSystem, cert: FarkasCertificate) -> list[dict]:
     """(ground, parts, k, weight) tuples in generator order."""
     out = []
     for j in sorted(cert.weights):
-        entry = cover_to_obj(system.generators[j])
+        entry = covers.cover_to_obj(system.generators[j])
         entry["weight"] = format_rational(cert.weights[j])
         out.append(entry)
     return out

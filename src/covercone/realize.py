@@ -36,8 +36,7 @@ from fractions import Fraction
 from math import prod
 from typing import Mapping, NamedTuple, Optional
 
-from .boxgeom import Box, BoxUnionBody, ProjectionProfile, disjoint_offset, log_projection_vector
-from .cone import MAX_CONE_DIMENSION, core_point
+from . import boxgeom, cone
 from .core import (
     ProjectionVector,
     canonical_subset_order,
@@ -88,9 +87,9 @@ class BoxSystem(NamedTuple):
 
 class RealizationResult(NamedTuple):
     lam: Fraction
-    body: BoxUnionBody
+    body: boxgeom.BoxUnionBody
     #: the body's exact projection volumes and their logs
-    profile: ProjectionProfile
+    profile: boxgeom.ProjectionProfile
     steps: tuple[BoxSystem, ...]
     #: per-subset |log |T_A|  -  lam * v_A|, v the vector realized
     residual_report: dict[int, Fraction]
@@ -117,7 +116,7 @@ def solve_box_system(ground: int, y: Mapping[int, Fraction]) -> BoxSystem:
     for a in members:
         if a not in y:
             raise ValueError(f"missing target for subset {{{format_subset(a)}}}")
-    found = core_point(ground, {a: log_fraction(Fraction(y[a])) for a in members})
+    found = cone.core_point(ground, {a: log_fraction(Fraction(y[a])) for a in members})
     if found is None:
         raise BoxSystemInfeasible(ground)
     sides = {e: exp_fraction(s) for e, s in found[1].items()}
@@ -151,17 +150,17 @@ def realize_vector(v: ProjectionVector, lam) -> RealizationResult:
 
     targets = {a: exp_fraction(lam * v[a]) for a in canonical_subset_order(v.n)}
     steps: list[BoxSystem] = []
-    raw_boxes: list[Box] = []
+    raw_boxes: list[boxgeom.Box] = []
     for ground in reversed(canonical_subset_order(v.n)):
         y = {a: targets[a] if a == ground else targets[a] / 2 for a in subsets_of(ground)}
         bs = solve_box_system(ground, y)
-        raw_boxes.append(Box(tuple((_ZERO, bs.sides.get(axis, _ZERO)) for axis in range(1, v.n + 1))))
+        raw_boxes.append(boxgeom.Box(tuple((_ZERO, bs.sides.get(axis, _ZERO)) for axis in range(1, v.n + 1))))
         steps.append(bs)
         for a in subsets_of(ground):
             targets[a] -= bs.z[a]
 
-    body = disjoint_offset(raw_boxes)
-    profile = log_projection_vector(body)
+    body = boxgeom.disjoint_offset(raw_boxes)
+    profile = boxgeom.log_projection_vector(body)
     report = {a: abs(log - lam * v[a]) for a, log in profile.logs.items()}
     max_gap = max(report.values())
     if max_gap > DEFAULT_TOLERANCE:
@@ -172,22 +171,22 @@ def realize_vector(v: ProjectionVector, lam) -> RealizationResult:
 def find_lambda(v: ProjectionVector, eps: Fraction, lambda_cap=DEFAULT_LAMBDA_CAP) -> RealizationResult:
     """Shift v by eps if it is tight on some ground, then realize it by double_lambda.
 
-    v is in the cone exactly when core_point(Y, v) has no negative slack on
-    any ground Y of two or more elements, and strictly inside exactly when
-    every such slack is positive.  A nontrivial irreducible cover with l
-    parts and multiplicity k has l > k, so the shift raises each margin by
-    (l-k)*eps > 0.  Raises ValueError unless eps > 0 and v.n <=
-    MAX_CONE_DIMENSION, NotInConeError naming the first ground where v is
-    outside, and whatever double_lambda raises.
+    v is in the cone exactly when cone.core_point(Y, v) has no negative
+    slack on any ground Y of two or more elements, and strictly inside
+    exactly when every such slack is positive.  A nontrivial irreducible
+    cover with l parts and multiplicity k has l > k, so the shift raises
+    each margin by (l-k)*eps > 0.  Raises ValueError unless eps > 0 and v.n
+    <= cone.MAX_CONE_DIMENSION, NotInConeError naming the first ground where
+    v is outside, and whatever double_lambda raises.
     """
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if v.n > MAX_CONE_DIMENSION:
-        raise ValueError(f"cone systems are limited to 1 <= n <= {MAX_CONE_DIMENSION}")
+    if v.n > cone.MAX_CONE_DIMENSION:
+        raise ValueError(f"cone systems are limited to 1 <= n <= {cone.MAX_CONE_DIMENSION}")
     tight = False
     for ground in canonical_subset_order(v.n)[v.n:]:  # past the singletons
-        found = core_point(ground, v.entries)
+        found = cone.core_point(ground, v.entries)
         if found is None:
             raise NotInConeError(f"vector violates a uniform-cover inequality on {{{format_subset(ground)}}}")
         tight = tight or found[0] == 0

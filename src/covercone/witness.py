@@ -14,7 +14,7 @@ import json
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .cone import build_bt_system, membership
+from . import cone, covers
 from .core import (
     FormatError,
     ProjectionVector,
@@ -23,7 +23,6 @@ from .core import (
     load_object,
     parse_subset,
 )
-from .covers import UniformCover
 
 _M12, _M13, _M24, _M123, _M234 = 0b0011, 0b0101, 0b1010, 0b0111, 0b1110
 
@@ -48,7 +47,7 @@ class SetFamily(NamedTuple):
 
 class WitnessReport(NamedTuple):
     in_cone: bool
-    tight: tuple[UniformCover, ...]
+    tight: tuple[covers.UniformCover, ...]
     obstruction_lhs: Fraction
     obstruction_rhs: Fraction
 
@@ -79,11 +78,11 @@ def theorem9_vector(n: int) -> ProjectionVector:
 def analyze_witness(v: ProjectionVector) -> WitnessReport:
     """Cone membership with tight generators, plus the obstruction equation
     x_123 - x_12 = x_234 - x_24 evaluated exactly, on the complete cone
-    build_bt_system(v.n).  Needs n >= 4."""
+    cone.build_bt_system(v.n).  Needs n >= 4."""
     if v.n < 4:
         raise ValueError("witness analysis needs dimension >= 4")
-    system = build_bt_system(v.n)
-    report = membership(system, v)
+    system = cone.build_bt_system(v.n)
+    report = cone.membership(system, v)
     return WitnessReport(
         in_cone=report.inside,
         tight=report.tight,

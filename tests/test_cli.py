@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import shlex
@@ -8,6 +10,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import covercone
 from covercone.boxgeom import read_body, write_body, BoxUnionBody, Box
@@ -177,9 +180,7 @@ class TestImplyCommand:
             calls.append(mask)
             return real(body, mask)
 
-        for name, module in list(sys.modules.items()):
-            if name.startswith("covercone") and vars(module).get("projection_volume") is real:
-                monkeypatch.setattr(module, "projection_volume", counting)
+        monkeypatch.setattr(boxgeom, "projection_volume", counting)
         path = write(tmp_path, "guess.json", GUESS)
         code, _, _ = run(capsys, "imply", "--inequality", path, "--emit-body", str(tmp_path / "b.json"))
         assert code == 1
@@ -463,6 +464,70 @@ class TestUsageErrors:
         assert proc.stderr.startswith("error: ")
         assert proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
+
+
+def fuzzed(alphabet: str, size: int):
+    """Short strings, half of them from the characters a valid value uses."""
+    return st.one_of(st.text(alphabet=alphabet, max_size=size), st.text(max_size=size))
+
+
+def assert_exit_contract(argv) -> None:
+    """main ends in 0, 1, 2 or 3 with no traceback; 2 and 3 print exactly one
+    `error:` line, except argparse's own usage exit 2."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+            assert err.getvalue().startswith("usage: "), argv
+            return
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code >= 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+
+
+#: comma-joined element lists, as `--ground` spells a subset; random text
+#: seldom is a valid ground of two or more elements
+element_lists = st.lists(st.integers(0, 10), max_size=4).map(lambda xs: ",".join(map(str, xs)))
+
+
+@pytest.fixture(scope="module")
+def arg_files(tmp_path_factory):
+    """A tight 2-d vector (x_12 = x_1 + x_2) and the 3-d derived inequality."""
+    root = tmp_path_factory.mktemp("args")
+    vec = write(root, "tight2.json", '{"n": 2, "entries": {"1": "1", "2": "1", "1,2": "2"}}')
+    return vec, write(root, "ok3.json", DERIVED_OK), str(root / "b.json")
+
+
+class TestArgumentFuzz:
+    """Arbitrary short strings for the value options, run in-process through main.
+
+    Lengths stay small enough that every run ends in well under a second.
+    One more character is much slower: on the tight vector `realize --epsilon
+    999999` builds a body for about 20 s that it cannot write, `--epsilon
+    1/999999` doubles lambda for about 20 s before exp leaves the decimal
+    exponent range, and larger `covers` queries run for 40 s or more."""
+
+    @settings(deadline=None)
+    @given(eps=fuzzed("0123456789/-", 5), cap=fuzzed("0123456789/-", 6))
+    def test_realize_epsilon_and_lambda_cap(self, arg_files, eps, cap):
+        vec, _, out = arg_files
+        assert_exit_contract(["realize", "--vector", vec, "--out", out,
+                              f"--epsilon={eps}", f"--lambda-cap={cap}"])
+
+    @settings(deadline=None)
+    @given(kmax=fuzzed("0123456789-+_ ", 8))
+    def test_imply_kmax(self, arg_files, kmax):
+        _, ineq, _ = arg_files
+        assert_exit_contract(["imply", "--inequality", ineq, f"--kmax={kmax}"])
+
+    @settings(deadline=None)
+    @given(ground=st.one_of(fuzzed("0123456789,", 8), element_lists.filter(lambda t: len(t) <= 8)))
+    def test_covers_ground(self, ground):
+        assert_exit_contract(["covers", f"--ground={ground}", "--kmax", "1"])
 
 
 def test_readme_cli_examples_parse():

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import axiswise_disjoint, sample_bt3_vector
-from covercone import cone, realize
+from covercone import cone, realize, simplex
 from covercone.boxgeom import log_projection_vector, projection_volume, read_body, write_body
 from covercone.cone import build_bt_system, membership
 from covercone.core import (
@@ -231,7 +231,7 @@ class TestMinimalityOracle:
             steps.append((ground, dict(y), system, lp_solves[0] - before))
             return system
 
-        monkeypatch.setattr(cone, "solve_equality_lp", counting_solve)
+        monkeypatch.setattr(simplex, "solve_equality_lp", counting_solve)
         monkeypatch.setattr(realize, "solve_box_system", spy)
         rng = random.Random(41)
         for _ in range(4):

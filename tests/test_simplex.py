@@ -4,7 +4,7 @@ import pytest
 from hypothesis import find, given, settings, strategies as st
 from scipy.optimize import linprog
 
-from covercone import cone, farkas, simplex
+from covercone import farkas, simplex
 from covercone.cli import main
 from covercone.cone import build_bt_system
 from covercone.farkas import LinearInequality
@@ -237,7 +237,7 @@ def test_implication_lp_pivots_pinned(monkeypatch, n, k_max, candidate, status, 
         solved.append(solve_equality_lp(*args, **kwargs))
         return solved[-1]
 
-    monkeypatch.setattr(farkas, "solve_equality_lp", record)
+    monkeypatch.setattr(simplex, "solve_equality_lp", record)
     farkas.check_implication(build_bt_system(n, k_max), candidate)
     assert [(res.status, res.pivots) for res in solved] == [(status, pivots)]
 
@@ -254,8 +254,7 @@ def test_real_lps_match_tableau(monkeypatch, capsys, tmp_path):
         solved.append((args, res))
         return res
 
-    monkeypatch.setattr(farkas, "solve_equality_lp", record)
-    monkeypatch.setattr(cone, "solve_equality_lp", record)
+    monkeypatch.setattr(simplex, "solve_equality_lp", record)
     imply_guess4(tmp_path, capsys)
     farkas.check_implication(build_bt_system(5, 3), GUESS5)
 

@@ -106,9 +106,25 @@ def test_cli_import_loads_every_traced_module_and_no_dataclasses():
     assert {f"covercone.{module}" for module in traced} <= loaded
 
 
+def test_lazy_modules_are_reached_only_through_the_module():
+    """No module from-imports a name out of a module that cli registers
+    lazily: such a binding would run that module, and whatever it imports,
+    when the importer runs, whether or not a command calls into it."""
+    loop = next(node for node in _tree(PACKAGE / "cli.py").body if isinstance(node, ast.For))
+    lazy = set(ast.literal_eval(loop.iter))
+    bad = []
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in lazy:
+                bad.append(f"{path.name}: from .{node.module} import {', '.join(a.name for a in node.names)}")
+    assert lazy and not bad, f"names bound out of lazily loaded modules: {'; '.join(bad)}"
+
+
 CORE = {"cli", "core"}
-MEMBER = CORE | {"cone", "covers", "simplex"}
+MEMBER = CORE | {"cone", "covers"}
 GUESS4 = {"n": 4, "lhs": {"1,2": "1", "2,3": "1", "3,4": "1"}, "rhs": {"1,2,3": "1", "2,3,4": "1"}}
+FAMILY3 = {"n": 3, "members": ["", "1", "2", "1,2,3"]}
+TRIANGLE = {"ground": "1,2,3", "k": 2, "parts": ["1,2", "1,3", "2,3"]}
 
 # a command's output files are the inputs of the ones after it
 COMMANDS = [
@@ -118,8 +134,12 @@ COMMANDS = [
     (["project", "--body", "body.json", "--out", "back.json"], CORE | {"boxgeom"}),
     (["member", "--vector", "back.json"], MEMBER),
     (["witness", "--n", "4"], MEMBER | {"witness"}),
-    (["imply", "--inequality", "guess4.json"], MEMBER | {"farkas"}),
-    (["imply", "--inequality", "guess4.json", "--emit-body", "b.json"], MEMBER | {"farkas", "boxgeom"}),
+    (["system", "--n", "3"], MEMBER),
+    (["imply", "--inequality", "guess4.json"], MEMBER | {"simplex", "farkas"}),
+    (["imply", "--inequality", "guess4.json", "--emit-body", "b.json"],
+     MEMBER | {"simplex", "farkas", "boxgeom"}),
+    (["covers", "--ground", "1,2,3", "--irreducible"], CORE | {"covers"}),
+    (["shearer", "--family", "family3.json", "--cover", "triangle.json"], CORE | {"covers", "witness"}),
 ]
 
 
@@ -128,6 +148,8 @@ def test_each_command_runs_only_the_modules_it_calls(tmp_path):
     lazy module, whose type is not types.ModuleType, so it is not compiled."""
     (tmp_path / "ones.json").write_text('{"n": 2, "entries": {"1": "1", "2": "1", "1,2": "1"}}')
     (tmp_path / "guess4.json").write_text(json.dumps(GUESS4))
+    (tmp_path / "family3.json").write_text(json.dumps(FAMILY3))
+    (tmp_path / "triangle.json").write_text(json.dumps(TRIANGLE))
     code = ("import sys, types\n"
             "from covercone.cli import main\n"
             "try: main(sys.argv[1:])\n"
