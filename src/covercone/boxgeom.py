@@ -2,8 +2,9 @@
 
 Boxes may be degenerate (point extent) on some axes, so a box can live in a
 proper coordinate subspace.  All endpoints are exact rationals and every
-measure below is computed exactly; logarithms appear only in reporting, at a
-stated decimal precision.
+measure below is computed exactly.  This module reads, writes, places and
+measures bodies and takes no log: the callers that report log volumes
+(`project`, realize.realize_vector) take them from these exact volumes.
 """
 
 from __future__ import annotations
@@ -13,16 +14,7 @@ from fractions import Fraction
 from math import floor
 from typing import NamedTuple, Optional, Sequence
 
-from .core import (
-    FormatError,
-    ProjectionVector,
-    canonical_subset_order,
-    elements,
-    format_rational,
-    load_object,
-    log_fraction,
-    parse_rational,
-)
+from .core import FormatError, elements, format_rational, load_object, parse_rational
 
 
 class Box(NamedTuple):
@@ -87,37 +79,6 @@ def projection_volume(body: BoxUnionBody, mask: int) -> Fraction:
         return total
 
     return measure(frozenset(range(len(rects))), 0)
-
-
-class ProjectionProfile(NamedTuple):
-    """Exact volumes plus their logs (rationalized at LOG_DIGITS precision).
-
-    logs[A] is None exactly where volumes[A] == 0; such a vector is not
-    constructible as-is (a positive-volume body has every projection positive).
-    """
-
-    n: int
-    volumes: dict[int, Fraction]
-    logs: dict[int, Optional[Fraction]]
-
-    @property
-    def all_positive(self) -> bool:
-        return all(v > 0 for v in self.volumes.values())
-
-    def to_projection_vector(self) -> ProjectionVector:
-        if not self.all_positive:
-            zero = [m for m, v in self.volumes.items() if v == 0]
-            raise ValueError(
-                "zero projection on "
-                + ", ".join("{" + ",".join(map(str, elements(m))) + "}" for m in zero)
-            )
-        return ProjectionVector(self.n, dict(self.logs))
-
-
-def log_projection_vector(body: BoxUnionBody) -> ProjectionProfile:
-    volumes = {m: projection_volume(body, m) for m in canonical_subset_order(body.n)}
-    logs = {m: (log_fraction(v) if v > 0 else None) for m, v in volumes.items()}
-    return ProjectionProfile(body.n, volumes, logs)
 
 
 def disjoint_offset(boxes: Sequence[Box]) -> BoxUnionBody:

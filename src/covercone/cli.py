@@ -38,10 +38,12 @@ from . import boxgeom, cone, covers, farkas, realize, witness
 from .core import (
     FormatError,
     MAX_DIMENSION,
+    ProjectionVector,
     canonical_subset_order,
     format_rational,
     format_subset,
     log_fraction,
+    parse_integer,
     parse_rational,
     parse_subset,
     read_vector,
@@ -166,24 +168,20 @@ def cmd_realize(args) -> int:
 
 def cmd_project(args) -> int:
     body = boxgeom.read_body(_read_text(args.body))
-    profile = boxgeom.log_projection_vector(body)
-    volumes = {
-        format_subset(m): format_rational(profile.volumes[m])
-        for m in canonical_subset_order(body.n)
-    }
-    if not profile.all_positive:
+    volumes = {m: boxgeom.projection_volume(body, m) for m in canonical_subset_order(body.n)}
+    shown = {format_subset(m): format_rational(vol) for m, vol in volumes.items()}
+    zero = [format_subset(m) for m, vol in volumes.items() if vol == 0]
+    if zero:
         _print({
             "constructible": False,
-            "volumes": volumes,
-            "zero_projections": [
-                format_subset(m) for m, v in profile.volumes.items() if v == 0
-            ],
+            "volumes": shown,
+            "zero_projections": zero,
             "detail": "some projection has measure zero, so its log is undefined",
         })
         return 1
-    vector = profile.to_projection_vector()
+    vector = ProjectionVector(body.n, {m: log_fraction(vol) for m, vol in volumes.items()})
     Path(args.out).write_text(write_vector(vector), encoding="utf-8")
-    _print({"constructible": True, "volumes": volumes, "vector_file": args.out})
+    _print({"constructible": True, "volumes": shown, "vector_file": args.out})
     return 0
 
 
@@ -234,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("covers", help="enumerate uniform covers of a ground set")
     p.add_argument("--ground", required=True, help="comma-separated elements, e.g. 1,2,3")
-    p.add_argument("--kmax", type=int, default=None,
+    p.add_argument("--kmax", type=parse_integer, default=None,
                    help="list only covers of multiplicity k <= KMAX (default: |ground|)")
     p.add_argument("--irreducible", action="store_true")
     p.set_defaults(func=cmd_covers)
@@ -246,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("imply", help="certificate or witness for an inequality file")
     p.add_argument("--inequality", required=True)
     p.add_argument("--emit-body", default=None, help="write a violating body here")
-    p.add_argument("--kmax", type=int, default=None,
+    p.add_argument("--kmax", type=parse_integer, default=None,
                    help="use only covers with k <= KMAX (default: the complete cone, which "
                         "any KMAX >= n also gives); below |Y| the cone is partial, so a "
                         "certificate is still valid but a refutation may be wrong")
@@ -265,11 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_project)
 
     p = sub.add_parser("system", help="print the generator list as plain-text inequalities")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=parse_integer, required=True)
     p.set_defaults(func=cmd_system)
 
     p = sub.add_parser("witness", help="analyze the boundary witness vector")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=parse_integer, required=True)
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("shearer", help="discrete product-theorem check for a set family")
@@ -282,6 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for name, value in vars(args).items():
+        if value == []:  # argparse as of Python 3.11 reads `--opt=--` as [], skipping `type`
+            parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout fails here, not at exit

@@ -35,7 +35,8 @@ class FormatError(ValueError):
 # ---------------------------------------------------------------------------
 # rationals
 
-_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
+_RATIONAL_RE = re.compile(_INTEGER_RE.pattern + r"(/[0-9]+)?")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -53,6 +54,13 @@ def parse_rational(text: str) -> Fraction:
     if den == 0:
         raise FormatError(f"zero denominator in {text!r}")
     return Fraction(num, den)
+
+
+def parse_integer(text: str) -> int:
+    """An integer as parse_rational reads one: an optional sign, then ASCII digits."""
+    if not _INTEGER_RE.fullmatch(text):
+        raise FormatError(f"malformed integer {text!r}")
+    return int(text)
 
 
 def format_rational(q: Fraction) -> str:

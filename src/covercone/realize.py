@@ -88,8 +88,8 @@ class BoxSystem(NamedTuple):
 class RealizationResult(NamedTuple):
     lam: Fraction
     body: boxgeom.BoxUnionBody
-    #: the body's exact projection volumes and their logs
-    profile: boxgeom.ProjectionProfile
+    #: the body's exact projection volume |T_A| for each nonempty A
+    volumes: dict[int, Fraction]
     steps: tuple[BoxSystem, ...]
     #: per-subset |log |T_A|  -  lam * v_A|, v the vector realized
     residual_report: dict[int, Fraction]
@@ -160,12 +160,12 @@ def realize_vector(v: ProjectionVector, lam) -> RealizationResult:
             targets[a] -= bs.z[a]
 
     body = boxgeom.disjoint_offset(raw_boxes)
-    profile = boxgeom.log_projection_vector(body)
-    report = {a: abs(log - lam * v[a]) for a, log in profile.logs.items()}
+    volumes = {a: boxgeom.projection_volume(body, a) for a in canonical_subset_order(v.n)}
+    report = {a: abs(log_fraction(vol) - lam * v[a]) for a, vol in volumes.items()}
     max_gap = max(report.values())
     if max_gap > DEFAULT_TOLERANCE:
         raise RuntimeError(f"realization drifted beyond tolerance: max gap {float(max_gap):.3g}")
-    return RealizationResult(lam, body, profile, tuple(steps), report)
+    return RealizationResult(lam, body, volumes, tuple(steps), report)
 
 
 def find_lambda(v: ProjectionVector, eps: Fraction, lambda_cap=DEFAULT_LAMBDA_CAP) -> RealizationResult:

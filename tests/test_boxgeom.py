@@ -9,12 +9,11 @@ from covercone.boxgeom import (
     Box,
     BoxUnionBody,
     disjoint_offset,
-    log_projection_vector,
     projection_volume,
     read_body,
     write_body,
 )
-from covercone.core import FormatError, canonical_subset_order, log_fraction
+from covercone.core import FormatError, canonical_subset_order
 
 
 def box(*pairs):
@@ -104,42 +103,11 @@ class TestProjectionVolume:
                 assert projection_volume(scaled, mask) == factor * projection_volume(body, mask)
 
 
-class TestLogProjectionVector:
-    def test_unit_cube_zero_vector(self):
-        profile = log_projection_vector(BoxUnionBody(3, (unit_cube(3),)))
-        assert profile.all_positive
-        vector = profile.to_projection_vector()
-        assert all(vector[m] == 0 for m in canonical_subset_order(3))
-
-    def test_two_box_logs(self):
-        profile = log_projection_vector(TWO_BOX)
-        assert profile.volumes == {0b01: 2, 0b10: 1, 0b11: Fraction(3, 2)}
-        assert profile.logs[0b01] == log_fraction(Fraction(2))
-        assert profile.logs[0b10] == 0
-        assert profile.logs[0b11] == log_fraction(Fraction(3, 2))
-
-    def test_zero_projection_flagged(self):
-        profile = log_projection_vector(BoxUnionBody(2, (box((0, 5), (0, 0)),)))
-        assert not profile.all_positive
-        assert profile.logs[0b10] is None
-        with pytest.raises(ValueError):
-            profile.to_projection_vector()
-
-    def test_axis_scaling_shifts_logs(self):
-        body = BoxUnionBody(2, (box((0, 3), (0, 1)),))
-        scaled = BoxUnionBody(2, (box((0, 6), (0, 1)),))
-        p, q = log_projection_vector(body), log_projection_vector(scaled)
-        log2 = log_fraction(Fraction(2))
-        for mask in canonical_subset_order(2):
-            expected = p.logs[mask] + (log2 if mask & 0b01 else 0)
-            assert abs(q.logs[mask] - expected) < Fraction(1, 10**25)
-
-
 class TestThicken:
     def test_all_projections_positive(self):
         body = BoxUnionBody(3, (box((0, 5), (0, 0), (1, 1)),))
         fat = thicken(body, Fraction(1, 1024))
-        assert log_projection_vector(fat).all_positive
+        assert all(projection_volume(fat, m) > 0 for m in canonical_subset_order(3))
 
     def test_adds_exactly_eps_power(self):
         eps = Fraction(1, 7)

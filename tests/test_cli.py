@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -16,7 +17,7 @@ import covercone
 from covercone.boxgeom import read_body, write_body, BoxUnionBody, Box
 from covercone.cli import build_parser, main
 from covercone.cone import build_bt_system
-from covercone.core import canonical_subset_order, read_vector, write_vector, ProjectionVector
+from covercone.core import canonical_subset_order, log_fraction, read_vector, write_vector, ProjectionVector
 from covercone.witness import theorem9_vector
 
 
@@ -260,12 +261,45 @@ class TestProjectCommand:
         body = BoxUnionBody(2, (Box(((F(0), F(5)), (F(0), F(0)))),))
         body_path = write(tmp_path, "seg.json", write_body(body))
         out_path = tmp_path / "vec.json"
-        code, out, _ = run(capsys, "project", "--body", body_path, "--out", str(out_path))
-        assert code == 1
-        data = json.loads(out)
-        assert data["constructible"] is False
-        assert "2" in data["zero_projections"]
+        code, out, err = run(capsys, "project", "--body", body_path, "--out", str(out_path))
+        assert (code, err) == (1, "")
+        assert out == json.dumps({
+            "constructible": False,
+            "volumes": {"1": "5", "2": "0", "1,2": "0"},
+            "zero_projections": ["2", "1,2"],
+            "detail": "some projection has measure zero, so its log is undefined",
+        }, indent=2) + "\n"
         assert not out_path.exists()
+
+    def project(self, capsys, tmp_path, body):
+        """Run `project` on body; its stdout volumes and the vector it wrote."""
+        body_path = write(tmp_path, "body.json", write_body(body))
+        out_path = tmp_path / "vec.json"
+        code, out, _ = run(capsys, "project", "--body", body_path, "--out", str(out_path))
+        assert code == 0
+        return json.loads(out)["volumes"], read_vector(out_path.read_text(encoding="utf-8"))
+
+    def test_unit_cube_projects_to_the_zero_vector(self, capsys, tmp_path):
+        cube = BoxUnionBody(3, (Box(((F(0), F(1)),) * 3),))
+        volumes, vector = self.project(capsys, tmp_path, cube)
+        assert set(volumes.values()) == {"1"}
+        assert vector == ProjectionVector.zero(3)
+
+    def test_two_box_logs(self, capsys, tmp_path):
+        two_box = BoxUnionBody(2, (Box(((F(0), F(1)), (F(0), F(1)))),
+                                   Box(((F(0), F(2)), (F(0), F(1, 2))))))
+        volumes, vector = self.project(capsys, tmp_path, two_box)
+        assert volumes == {"1": "2", "2": "1", "1,2": "3/2"}
+        assert vector == ProjectionVector(2, {0b01: log_fraction(F(2)), 0b10: F(0),
+                                              0b11: log_fraction(F(3, 2))})
+
+    def test_axis_scaling_shifts_logs(self, capsys, tmp_path):
+        _, p = self.project(capsys, tmp_path, BoxUnionBody(2, (Box(((F(0), F(3)), (F(0), F(1)))),)))
+        _, q = self.project(capsys, tmp_path, BoxUnionBody(2, (Box(((F(0), F(6)), (F(0), F(1)))),)))
+        log2 = log_fraction(F(2))
+        for mask in canonical_subset_order(2):
+            expected = p[mask] + (log2 if mask & 0b01 else 0)
+            assert abs(q[mask] - expected) < F(1, 10**25)
 
     def test_project_then_member_pipeline(self, capsys, tmp_path):
         body = BoxUnionBody(
@@ -384,6 +418,50 @@ class TestUsageErrors:
         assert out == ""
         assert err == "error: lambda_cap must be at least 1\n"
 
+    @pytest.mark.parametrize("spelling", ["\u0663", " 3", "3 ", "0_3"],
+                             ids=["arabic-indic-3", "leading-space", "trailing-space", "underscore"])
+    @pytest.mark.parametrize("argv", [["system", "--n"], ["covers", "--ground", "1,2", "--kmax"]],
+                             ids=["system-n", "covers-kmax"])
+    def test_integer_option_takes_only_ascii_digits(self, capsys, argv, spelling):
+        """--n and --kmax read an integer as the files do: an optional sign, ASCII digits."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [spelling])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: ")
+        assert "Traceback" not in err
+        assert f"invalid parse_integer value: {spelling!r}" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["system", "--n=--"],
+        ["covers", "--ground", "1,2", "--kmax=--"],
+        ["member", "--vector=--"],
+        ["realize", "--vector", "v.json", "--out=--"],
+    ], ids=["system-n", "covers-kmax", "member-vector", "realize-out"])
+    def test_double_dash_value_is_usage_error(self, capsys, argv):
+        """`--opt=--` is refused before any command reads the option."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: ")
+        assert err.endswith(f"error: argument {argv[-1][:-3]}: expected one argument\n")
+
+    @pytest.mark.parametrize("spelling", ["+3", "03"])
+    def test_integer_option_sign_and_leading_zero(self, capsys, spelling):
+        assert run(capsys, "system", "--n", spelling) == run(capsys, "system", "--n", "3")
+
+    @pytest.mark.parametrize("argv, detail", [
+        (["system", "--n", "0"], "cone systems are limited to 1 <= n <= 5"),
+        (["system", "--n", "-1"], "cone systems are limited to 1 <= n <= 5"),
+        (["covers", "--ground", "1,2", "--kmax", "0"], "k_max must be positive"),
+        (["covers", "--ground", "1,2", "--kmax", "-1"], "k_max must be positive"),
+    ], ids=["system-n0", "system-n-1", "covers-kmax0", "covers-kmax-1"])
+    def test_integer_option_out_of_range(self, capsys, argv, detail):
+        assert run(capsys, *argv) == (2, "", f"error: {detail}\n")
+
     @pytest.mark.parametrize("argv", [
         ["member", "--vector", "v.json", "--kmax", "2"],
         ["member", "--vector", "v.json", "--n", "3"],
@@ -471,9 +549,9 @@ def fuzzed(alphabet: str, size: int):
     return st.one_of(st.text(alphabet=alphabet, max_size=size), st.text(max_size=size))
 
 
-def assert_exit_contract(argv) -> None:
+def assert_exit_contract(argv) -> int:
     """main ends in 0, 1, 2 or 3 with no traceback; 2 and 3 print exactly one
-    `error:` line, except argparse's own usage exit 2."""
+    `error:` line, except argparse's own usage exit 2.  Returns the exit code."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -481,12 +559,13 @@ def assert_exit_contract(argv) -> None:
         except SystemExit as exc:
             assert exc.code == 2, argv
             assert err.getvalue().startswith("usage: "), argv
-            return
+            return 2
     assert code in (0, 1, 2, 3), argv
     assert "Traceback" not in err.getvalue(), argv
     if code >= 2:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+    return code
 
 
 #: comma-joined element lists, as `--ground` spells a subset; random text
@@ -519,10 +598,16 @@ class TestArgumentFuzz:
                               f"--epsilon={eps}", f"--lambda-cap={cap}"])
 
     @settings(deadline=None)
-    @given(kmax=fuzzed("0123456789-+_ ", 8))
+    @given(kmax=fuzzed("0123456789-+_ \u0663", 8))
     def test_imply_kmax(self, arg_files, kmax):
         _, ineq, _ = arg_files
         assert_exit_contract(["imply", "--inequality", ineq, f"--kmax={kmax}"])
+
+    @settings(deadline=None)
+    @given(n=fuzzed("0123456789-+_ \u0663", 2))
+    def test_system_n(self, n):
+        if assert_exit_contract(["system", f"--n={n}"]) in (0, 1):
+            assert re.fullmatch(r"[+-]?[0-9]+", n), n
 
     @settings(deadline=None)
     @given(ground=st.one_of(fuzzed("0123456789,", 8), element_lists.filter(lambda t: len(t) <= 8)))

@@ -7,7 +7,8 @@ import pytest
 
 from conftest import axiswise_disjoint, sample_bt3_vector
 from covercone import cone, realize, simplex
-from covercone.boxgeom import log_projection_vector, projection_volume, read_body, write_body
+from covercone.boxgeom import projection_volume, read_body, write_body
+from covercone.cli import main
 from covercone.cone import build_bt_system, membership
 from covercone.core import (
     ProjectionVector,
@@ -15,6 +16,7 @@ from covercone.core import (
     elements,
     exp_fraction,
     log_fraction,
+    read_vector,
     subsets_of,
 )
 from covercone.covers import irreducible_covers
@@ -322,7 +324,7 @@ class TestFindLambda:
         result = find_lambda(ProjectionVector.zero(2), F(1), 64)
         assert result.lam == 2
         for mask in canonical_subset_order(2):
-            assert_within_slack(result.profile.volumes[mask], exp_fraction(result.lam * ONES2[mask]))
+            assert_within_slack(result.volumes[mask], exp_fraction(result.lam * ONES2[mask]))
 
     def test_nonpositive_eps_rejected(self):
         # rejected even on a strict vector, which needs no shift
@@ -358,7 +360,7 @@ class TestFindLambda:
         result = find_lambda(v, F(1, 4))
         w = v.shift(F(1, 4)) if shifted else v
         for mask in canonical_subset_order(4):
-            assert_within_slack(result.profile.volumes[mask], exp_fraction(lam * w[mask]))
+            assert_within_slack(result.volumes[mask], exp_fraction(lam * w[mask]))
         assert result.lam == lam
         assert hashlib.sha256(write_body(result.body).encode()).hexdigest() == digest
 
@@ -394,7 +396,7 @@ class TestRoundTrip:
         result = find_lambda(v, F(1, 4), 64)
         assert set(result.residual_report) == set(canonical_subset_order(3))
         for mask, gap in result.residual_report.items():
-            assert gap == abs(result.profile.logs[mask] - result.lam * v[mask])
+            assert gap == abs(log_fraction(result.volumes[mask]) - result.lam * v[mask])
 
 
 def endpoint_bits(q):
@@ -439,31 +441,36 @@ class TestBodySize:
 class TestBuiltRecords:
     """The package builds bodies and vectors as plain records, with no
     check; each must be one its entry check accepts: read_body reads the
-    body back, and ProjectionVector.from_entries rebuilds the vector."""
+    body back, and ProjectionVector.from_entries rebuilds the vector, both
+    the one realized and the one `project` writes for the body."""
 
     @staticmethod
-    def assert_checked(w, body, profile):
-        assert read_body(write_body(body)) == body
-        projected = profile.to_projection_vector()
+    def assert_checked(tmp_path, w, body):
+        text = write_body(body)
+        assert read_body(text) == body
+        body_path, vector_path = tmp_path / "body.json", tmp_path / "projected.json"
+        body_path.write_text(text, encoding="utf-8")
+        assert main(["project", "--body", str(body_path), "--out", str(vector_path)]) == 0
+        projected = read_vector(vector_path.read_text(encoding="utf-8"))
         for v in (w, projected, projected.shift(F(1, 8))):
             assert v == ProjectionVector.from_entries(v.n, v.entries)
 
     @pytest.mark.parametrize("name", sorted(PINNED_BODIES))
-    def test_pinned_bodies(self, name):
+    def test_pinned_bodies(self, tmp_path, name):
         v, shifted, _, _ = PINNED_BODIES[name]
         w = v.shift(F(1, 4)) if shifted else v
         result = double_lambda(w)
-        self.assert_checked(w, result.body, result.profile)
+        self.assert_checked(tmp_path, w, result.body)
 
-    def test_guess_body(self):
+    def test_guess_body(self, tmp_path):
         guess = LinearInequality.from_maps(
             4, {0b0011: F(1), 0b0110: F(1), 0b1100: F(1)}, {0b0111: F(1), 0b1110: F(1)}
         )
         witness = check_implication(build_bt_system(4), guess).vector
         report = violating_body(guess, witness)
-        self.assert_checked(witness, report.body, log_projection_vector(report.body))
+        self.assert_checked(tmp_path, witness, report.body)
 
-    def test_half_plus_modular_n5_body(self):
+    def test_half_plus_modular_n5_body(self, tmp_path):
         w = modular_plus_one((F(3, 4), F(-1, 2), F(1), F(-5, 4), F(1, 3))).shift(F(-1, 2))
         result = double_lambda(w)
-        self.assert_checked(w, result.body, result.profile)
+        self.assert_checked(tmp_path, w, result.body)

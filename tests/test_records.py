@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from covercone.boxgeom import Box, BoxUnionBody, log_projection_vector
+from covercone.boxgeom import Box, BoxUnionBody
 from covercone.cone import build_bt_system, membership
 from covercone.core import ProjectionVector
 from covercone.covers import UniformCover
@@ -31,7 +31,6 @@ RECORDS = {
     "ViolationReport": (lambda: ViolationReport(1, BODY, 1, Fraction(1), Fraction(2)), "lhs_product"),
     "Box": (lambda: BODY.boxes[0], "intervals"),
     "BoxUnionBody": (lambda: BODY, "boxes"),
-    "ProjectionProfile": (lambda: log_projection_vector(BODY), "volumes"),
     "BoxSystem": (lambda: _realization().steps[0], "sides"),
     "RealizationResult": (_realization, "lam"),
     "LPResult": (lambda: solve_equality_lp([[Fraction(1)]], [Fraction(1)], [Fraction(0)]), "status"),
