@@ -1,11 +1,11 @@
 """Command-line front end over the JSON file formats.
 
-Exit codes: 0 success, 1 negative domain verdict (not in cone, not implied,
-infeasible/inconclusive, zero projection), 2 usage errors or an input file
-that is malformed or unreadable, 3 resource limit, output or internal
-failure (any RuntimeError: an enumeration or pivot budget ran out, `imply
---emit-body` got a witness outside the cone (a partial `--kmax`), exp left
-the decimal exponent range, or a self-check failed; an OSError writing
+Exit codes: 0 success, 1 negative domain verdict (not in cone, on the boundary,
+not implied, infeasible/inconclusive, zero projection), 2 usage errors or an
+input file that is malformed or unreadable, 3 resource limit, output or
+internal failure (any RuntimeError: an enumeration or pivot budget ran out,
+`imply --emit-body` got a witness outside the cone (a partial `--kmax`), exp
+left the decimal exponent range, or a self-check failed; an OSError writing
 `--out`, `--emit-body` or stdout); codes 2 and 3 print one `error: ...` line.
 
 Importing this module registers every other submodule in sys.modules, but a
@@ -132,12 +132,14 @@ def cmd_imply(args) -> int:
 
 def cmd_realize(args) -> int:
     v = read_vector(_read_text(args.vector))
-    eps = parse_rational(args.epsilon)
     cap = realize.DEFAULT_LAMBDA_CAP if args.lambda_cap is None else parse_rational(args.lambda_cap)
     try:
-        result = realize.find_lambda(v, eps, cap)
+        result = realize.find_lambda(v, cap)
     except realize.NotInConeError as exc:
         _print({"realized": False, "reason": "not-in-cone", "detail": str(exc)})
+        return 1
+    except realize.BoundaryError as exc:
+        _print({"realized": False, "reason": "boundary", "detail": str(exc)})
         return 1
     except realize.InconclusiveError as exc:
         _print({"realized": False, "reason": "inconclusive", "detail": str(exc),
@@ -252,8 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("realize", help="construct a body for a scaled interior vector")
     p.add_argument("--vector", required=True)
-    p.add_argument("--epsilon", default="1/4")
-    p.add_argument("--lambda-cap")
+    p.add_argument("--lambda-cap", help="give up past this lambda (default: 1024)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_realize)
 

@@ -203,10 +203,6 @@ class ProjectionVector(NamedTuple):
     def __getitem__(self, mask: int) -> Fraction:
         return self.entries[mask]
 
-    def shift(self, eps: Fraction) -> "ProjectionVector":
-        """Add eps to every coordinate."""
-        return ProjectionVector(self.n, {m: v + eps for m, v in self.entries.items()})
-
 
 def _unique_keys(pairs) -> dict:
     obj = {}

@@ -1,4 +1,4 @@
-"""Realize cone vectors as box-union bodies, after a shift and a scaling.
+"""Realize vectors strictly inside the cone as box-union bodies, after a scaling.
 
 Given v satisfying every nontrivial irreducible cover inequality strictly,
 some multiple lambda*v is the log projection vector of a finite union of
@@ -12,10 +12,10 @@ Each step is one LP over log values, cone.core_point: the log sides are a
 core point of the log targets on S and sum to the log target of S exactly;
 the step is infeasible exactly when no core point exists.  find_lambda runs
 the same LP on v itself, once per ground of two or more elements, and reads
-no generator list: the slacks decide whether v is inside and must be
-shifted to be strictly inside.  double_lambda and realize_vector trust
-strictness; the final check of every log projection volume against
-lambda*v is the arbiter.
+no generator list: the slacks decide whether v is outside, on the
+boundary or strictly inside, and only a strict v is realized.
+double_lambda and realize_vector trust strictness; the final check of
+every log projection volume against lambda*v is the arbiter.
 
 The step LP only searches product-form solutions, z_A = prod of sides over
 A.  That loses nothing: such a z meets every cover constraint of the step
@@ -54,6 +54,10 @@ _ZERO = Fraction(0)
 
 class NotInConeError(ValueError):
     """The vector is outside the cone, so the operation is undefined."""
+
+
+class BoundaryError(ValueError):
+    """The vector has a zero slack on some ground, so it is not strictly inside."""
 
 
 class BoxSystemInfeasible(Exception):
@@ -168,29 +172,27 @@ def realize_vector(v: ProjectionVector, lam) -> RealizationResult:
     return RealizationResult(lam, body, volumes, tuple(steps), report)
 
 
-def find_lambda(v: ProjectionVector, eps: Fraction, lambda_cap=DEFAULT_LAMBDA_CAP) -> RealizationResult:
-    """Shift v by eps if it is tight on some ground, then realize it by double_lambda.
+def find_lambda(v: ProjectionVector, lambda_cap=DEFAULT_LAMBDA_CAP) -> RealizationResult:
+    """Realize v by double_lambda if it is strictly inside the cone.
 
     v is in the cone exactly when cone.core_point(Y, v) has no negative
     slack on any ground Y of two or more elements, and strictly inside
-    exactly when every such slack is positive.  A nontrivial irreducible
-    cover with l parts and multiplicity k has l > k, so the shift raises
-    each margin by (l-k)*eps > 0.  Raises ValueError unless eps > 0 and v.n
-    <= cone.MAX_CONE_DIMENSION, NotInConeError naming the first ground where
-    v is outside, and whatever double_lambda raises.
+    exactly when every such slack is positive.  Raises ValueError unless
+    v.n <= cone.MAX_CONE_DIMENSION, NotInConeError naming the first ground
+    where v is outside, else BoundaryError naming the first ground with a
+    zero slack, and whatever double_lambda raises.
     """
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     if v.n > cone.MAX_CONE_DIMENSION:
         raise ValueError(f"cone systems are limited to 1 <= n <= {cone.MAX_CONE_DIMENSION}")
-    tight = False
+    tight = 0  # the first ground with a zero slack; no ground is 0
     for ground in canonical_subset_order(v.n)[v.n:]:  # past the singletons
         found = cone.core_point(ground, v.entries)
         if found is None:
             raise NotInConeError(f"vector violates a uniform-cover inequality on {{{format_subset(ground)}}}")
-        tight = tight or found[0] == 0
-    return double_lambda(v.shift(eps) if tight else v, lambda_cap)
+        tight = tight or (ground if found[0] == 0 else 0)
+    if tight:
+        raise BoundaryError(f"vector is on the boundary of the cone: zero slack on {{{format_subset(tight)}}}")
+    return double_lambda(v, lambda_cap)
 
 
 def double_lambda(w: ProjectionVector, lambda_cap=DEFAULT_LAMBDA_CAP) -> RealizationResult:

@@ -137,6 +137,13 @@ def axiswise_disjoint(body: BoxUnionBody) -> bool:
 # ---------------------------------------------------------------------------
 # samplers
 
+def shift(v: ProjectionVector, eps: Fraction) -> ProjectionVector:
+    """Add eps to every coordinate.  A nontrivial cover with l parts and
+    multiplicity k has l > k, so each margin grows by (l - k)*eps: eps > 0
+    takes a vector of the cone strictly inside."""
+    return ProjectionVector(v.n, {m: x + eps for m, x in v.entries.items()})
+
+
 def random_box(rng, n: int, denom: int = 8, hi: int = 16, degenerate_prob: float = 0.15) -> Box:
     intervals = []
     for _ in range(n):

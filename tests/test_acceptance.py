@@ -11,7 +11,7 @@ import sys
 import time
 from fractions import Fraction as F
 
-from conftest import oracle_irreducible_covers, random_body, sample_bt3_vector, thicken
+from conftest import oracle_irreducible_covers, random_body, sample_bt3_vector, shift, thicken
 from covercone.boxgeom import projection_volume
 from covercone.cone import build_bt_system, coefficients, format_inequality, membership
 from covercone.core import (
@@ -147,8 +147,8 @@ def test_criterion_5_realization_round_trip():
     start = time.perf_counter()
     rng = random.Random(97)
     for _ in range(50):
-        w = sample_bt3_vector(rng).shift(F(1, 4))
-        result = find_lambda(w, F(1, 4), 64)
+        w = shift(sample_bt3_vector(rng), F(1, 4))
+        result = find_lambda(w, 64)
         assert result.lam <= 64
         assert max(result.residual_report.values()) <= TOL
         for mask in canonical_subset_order(3):

@@ -200,25 +200,33 @@ class TestRealizeCommand:
         body = read_body((tmp_path / "body.json").read_text())
         assert len(body.boxes) == 3
 
-    def test_epsilon_reaches_find_lambda(self, capsys, tmp_path):
-        """The tight theorem 9 vector v is realized as v + 1/8, not v + 1/4."""
-        v = theorem9_vector(4)
-        vec = write(tmp_path, "t9.json", write_vector(v))
-        body_path, back_path = str(tmp_path / "body.json"), str(tmp_path / "back.json")
-        code, out, _ = run(capsys, "realize", "--vector", vec, "--out", body_path, "--epsilon", "1/8")
-        assert code == 0
-        lam = F(json.loads(out)["lambda"])
-        assert run(capsys, "project", "--body", body_path, "--out", back_path)[0] == 0
-        back = read_vector(Path(back_path).read_text())
-        for eps, near in ((F(1, 8), True), (F(1, 4), False)):
-            gap = max(abs(back[m] - lam * (v[m] + eps)) for m in canonical_subset_order(4))
-            assert (gap <= F(1, 10**6)) is near, (eps, gap)
+    def test_theorem9_refused_as_boundary(self, capsys, tmp_path):
+        """The theorem 9 vector has zero slacks, first on {1,3}, so realize
+        refuses it and writes no body; theorem 9 says no body realizes it,
+        but the refusal only names the tight ground."""
+        vec = write(tmp_path, "t9.json", write_vector(theorem9_vector(4)))
+        code, out, _ = run(capsys, "realize", "--vector", vec, "--out", str(tmp_path / "body.json"))
+        assert code == 1
+        assert json.loads(out) == {
+            "realized": False,
+            "reason": "boundary",
+            "detail": "vector is on the boundary of the cone: zero slack on {1,3}",
+        }
+        assert not (tmp_path / "body.json").exists()
 
     def test_not_in_cone(self, capsys, tmp_path):
-        vec = write(tmp_path, "bad.json", '{"n":2,"entries":{"1,2":"1"}}')
-        code, out, _ = run(capsys, "realize", "--vector", vec, "--out", str(tmp_path / "x.json"))
-        assert code == 1
-        assert json.loads(out)["reason"] == "not-in-cone"
+        for text, ground in (
+            ('{"n":2,"entries":{"1,2":"1"}}', "{1,2}"),
+            # tight on {1,2} before it is outside on {1,3}: outside wins
+            ('{"n":3,"entries":{"1":"1","2":"1","3":"1","1,2":"2","1,3":"3"}}', "{1,3}"),
+        ):
+            vec = write(tmp_path, "bad.json", text)
+            code, out, _ = run(capsys, "realize", "--vector", vec, "--out", str(tmp_path / "x.json"))
+            assert code == 1
+            data = json.loads(out)
+            assert data["reason"] == "not-in-cone"
+            assert data["detail"].endswith(f"on {ground}")
+            assert not (tmp_path / "x.json").exists()
 
     def test_inconclusive_at_tiny_cap(self, capsys, tmp_path):
         vec = write(tmp_path, "ones.json", ONES2)
@@ -242,6 +250,9 @@ class TestRealizeCommand:
         assert data["reason"] == "inconclusive"
         assert data["lambda_cap"] == str(realize.DEFAULT_LAMBDA_CAP) == "1024"
         assert not (tmp_path / "x.json").exists()
+        with pytest.raises(SystemExit):
+            main(["realize", "--help"])
+        assert f"(default: {realize.DEFAULT_LAMBDA_CAP})" in " ".join(capsys.readouterr().out.split())
 
 
 class TestProjectCommand:
@@ -468,8 +479,10 @@ class TestUsageErrors:
         ["witness", "--n", "4", "--kmax", "3"],
         ["system", "--n", "4", "--kmax", "2"],
         ["realize", "--vector", "v.json", "--out", "b.json", "--report", "r.json"],
+        ["realize", "--vector", "v.json", "--out", "b.json", "--epsilon", "1/4"],
         ["shearer", "--family", "f.json", "--cover", "c.json", "--k", "1"],
-    ], ids=["member-kmax", "member-n", "witness-kmax", "system-kmax", "realize-report", "shearer-k"])
+    ], ids=["member-kmax", "member-n", "witness-kmax", "system-kmax", "realize-report", "realize-epsilon",
+            "shearer-k"])
     def test_dropped_option_unrecognized(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -575,27 +588,28 @@ element_lists = st.lists(st.integers(0, 10), max_size=4).map(lambda xs: ",".join
 
 @pytest.fixture(scope="module")
 def arg_files(tmp_path_factory):
-    """A tight 2-d vector (x_12 = x_1 + x_2) and the 3-d derived inequality."""
+    """A tight 2-d vector (x_12 = x_1 + x_2), a strict one (x_12 = 1 <
+    x_1 + x_2 = 2) and the 3-d derived inequality."""
     root = tmp_path_factory.mktemp("args")
-    vec = write(root, "tight2.json", '{"n": 2, "entries": {"1": "1", "2": "1", "1,2": "2"}}')
-    return vec, write(root, "ok3.json", DERIVED_OK), str(root / "b.json")
+    vectors = (write(root, "tight2.json", '{"n": 2, "entries": {"1": "1", "2": "1", "1,2": "2"}}'),
+               write(root, "ones2.json", ONES2))
+    return vectors, write(root, "ok3.json", DERIVED_OK), str(root / "b.json")
 
 
 class TestArgumentFuzz:
     """Arbitrary short strings for the value options, run in-process through main.
 
-    Lengths stay small enough that every run ends in well under a second.
-    One more character is much slower: on the tight vector `realize --epsilon
-    999999` builds a body for about 20 s that it cannot write, `--epsilon
-    1/999999` doubles lambda for about 20 s before exp leaves the decimal
-    exponent range, and larger `covers` queries run for 40 s or more."""
+    Lengths stay small enough that every run ends in well under a second;
+    larger `covers` queries run for 40 s or more.  `realize` stops at the
+    first lambda that works, whatever the cap: {1: 0, 2: 0, 1,2: -10^-12}
+    with `--lambda-cap 99999999999999` realizes at lambda = 2^41 in under 0.1 s."""
 
     @settings(deadline=None)
-    @given(eps=fuzzed("0123456789/-", 5), cap=fuzzed("0123456789/-", 6))
-    def test_realize_epsilon_and_lambda_cap(self, arg_files, eps, cap):
-        vec, _, out = arg_files
-        assert_exit_contract(["realize", "--vector", vec, "--out", out,
-                              f"--epsilon={eps}", f"--lambda-cap={cap}"])
+    @given(cap=fuzzed("0123456789/-", 16))
+    def test_realize_lambda_cap(self, arg_files, cap):
+        (tight, strict), _, out = arg_files
+        assert assert_exit_contract(["realize", "--vector", tight, "--out", out, f"--lambda-cap={cap}"]) in (1, 2)
+        assert_exit_contract(["realize", "--vector", strict, "--out", out, f"--lambda-cap={cap}"])
 
     @settings(deadline=None)
     @given(kmax=fuzzed("0123456789-+_ \u0663", 8))

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_body, sample_bt3_vector, thicken
+from conftest import random_body, sample_bt3_vector, shift, thicken
 from covercone import realize
 from covercone.boxgeom import projection_volume
 from covercone.cone import ConeSystem, build_bt_system, coefficients, core_point, format_inequality, margin, membership
@@ -106,7 +106,7 @@ class TestMembership:
 
         for _ in range(25):
             v = sample_bt3_vector(rng)
-            bad = v.shift(Fraction(-5))  # typically outside
+            bad = shift(v, Fraction(-5))  # typically outside
             for q in (Fraction(1, 3), Fraction(7, 2), Fraction(12)):
                 assert membership(system, scaled(v, q)).inside == membership(system, v).inside
                 assert membership(system, scaled(bad, q)).inside == membership(system, bad).inside
@@ -172,8 +172,8 @@ class TestCorePoint:
     @pytest.mark.parametrize("n,count", [(2, 40), (3, 30), (4, 20), (5, 20)])
     def test_find_lambda_decides_as_membership(self, monkeypatch, n, count):
         """find_lambda raises NotInConeError exactly when membership finds a
-        violated generator, and shifts exactly when it finds a tight one."""
-        eps = Fraction(1, 4)
+        violated generator, refuses v as boundary exactly when it finds a
+        tight one, and otherwise hands v on as given."""
         handed = []
         monkeypatch.setattr(realize, "double_lambda", lambda w, cap: handed.append(w))
         system = build_bt_system(n)
@@ -181,16 +181,20 @@ class TestCorePoint:
         outcomes = {"outside": 0, "tight": 0, "strict": 0}
         for _ in range(count):
             near = near_boundary_vector(rng, n)
-            for v in (near, near.shift(Fraction(1, 8)), near.shift(Fraction(1, 2))):
+            for v in (near, shift(near, Fraction(1, 8)), shift(near, Fraction(1, 2))):
                 report = membership(system, v)
                 if not report.inside:
                     with pytest.raises(realize.NotInConeError):
-                        realize.find_lambda(v, eps)
+                        realize.find_lambda(v)
                     outcomes["outside"] += 1
+                elif report.tight:
+                    with pytest.raises(realize.BoundaryError):
+                        realize.find_lambda(v)
+                    outcomes["tight"] += 1
                 else:
-                    realize.find_lambda(v, eps)
-                    assert handed.pop() == (v.shift(eps) if report.tight else v)
-                    outcomes["tight" if report.tight else "strict"] += 1
+                    realize.find_lambda(v)
+                    assert handed.pop() == v
+                    outcomes["strict"] += 1
         assert min(outcomes.values()) >= 3
 
     def test_theorem9_vector_has_every_core_point(self):

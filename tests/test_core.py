@@ -193,7 +193,3 @@ class TestVectorFiles:
         }
         v = ProjectionVector.from_entries(n, entries)
         assert read_vector(write_vector(v)) == v
-
-    def test_vector_helpers(self):
-        v = ProjectionVector.from_entries(2, {0b01: Fraction(1)})
-        assert v.shift(Fraction(1, 2))[0b10] == Fraction(1, 2)

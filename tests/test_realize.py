@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import axiswise_disjoint, sample_bt3_vector
+from conftest import axiswise_disjoint, sample_bt3_vector, shift
 from covercone import cone, realize, simplex
 from covercone.boxgeom import projection_volume, read_body, write_body
 from covercone.cli import main
@@ -23,6 +23,7 @@ from covercone.covers import irreducible_covers
 from covercone.farkas import LinearInequality, check_implication, violating_body
 from covercone.realize import (
     _SLACK,
+    BoundaryError,
     BoxSystemInfeasible,
     InconclusiveError,
     NotInConeError,
@@ -123,11 +124,11 @@ def assert_matches_full_system(ground, y, system):
 
 
 class TestInteriorShift:
-    """The shift find_lambda applies to a vector with a tight generator: the
-    l > k theorem makes the shifted vector strict, so nothing re-checks it."""
+    """The l > k theorem behind the tests' strict samples: conftest.shift by
+    eps > 0 takes a vector of the cone strictly inside."""
 
     def test_zero_vector_becomes_ones(self):
-        shifted = ProjectionVector.zero(2).shift(F(1))
+        shifted = shift(ProjectionVector.zero(2), F(1))
         assert shifted == ONES2
         g = build_bt_system(2).generators[0]
         assert cone.margin(g, shifted) == 1  # 1 + 1 > 1
@@ -136,24 +137,17 @@ class TestInteriorShift:
         v = theorem9_vector(4)
         system = build_bt_system(4)
         assert membership(system, v).tight
-        shifted = v.shift(F(1, 10))
+        shifted = shift(v, F(1, 10))
         for g in system.generators:
             assert cone.margin(g, shifted) > 0
 
     def test_margin_grows_by_parts_minus_k(self):
         eps = F(1, 10)
         v = sample_bt3_vector(random.Random(3))
-        shifted = v.shift(eps)
+        shifted = shift(v, eps)
         for g in build_bt_system(3).generators:
             gain = (len(g.parts) - g.k) * eps
             assert cone.margin(g, shifted) - cone.margin(g, v) == gain
-
-    def test_rejects_outside_vector(self):
-        # membership is decided before the shift, which would land inside
-        v = ProjectionVector.from_entries(2, {0b11: F(1)})
-        assert membership(build_bt_system(2), v.shift(F(1))).inside
-        with pytest.raises(NotInConeError):
-            find_lambda(v, F(1), 64)
 
 
 class TestSolveBoxSystem:
@@ -237,8 +231,8 @@ class TestMinimalityOracle:
         monkeypatch.setattr(realize, "solve_box_system", spy)
         rng = random.Random(41)
         for _ in range(4):
-            v = sample_bt3_vector(rng).shift(F(1, 4))
-            find_lambda(v, F(1, 4), 64)
+            v = shift(sample_bt3_vector(rng), F(1, 4))
+            find_lambda(v, 64)
         monkeypatch.undo()
         assert any(system is None for _, _, system, _ in steps)
         assert sum(system is not None for _, _, system, _ in steps) >= 4 * 7
@@ -270,8 +264,8 @@ class TestRealizeVector:
                 realize_vector(ProjectionVector.zero(2), lam)
 
     def test_positive_sides_and_disjointness(self):
-        v = sample_bt3_vector(random.Random(13)).shift(F(1, 4))
-        result = find_lambda(v, F(1, 4), 64)
+        v = shift(sample_bt3_vector(random.Random(13)), F(1, 4))
+        result = find_lambda(v, 64)
         for step in result.steps:
             for side in step.sides.values():
                 assert side > 0
@@ -290,25 +284,25 @@ def modular_plus_one(weights):
     )
 
 
-#: name -> (vector, shifted by find_lambda, lambda, sha256 of the body)
+#: name -> (vector, lambda, sha256 of the body find_lambda builds for it)
 PINNED_BODIES = {
-    # the theorem 9 vector is tight, so find_lambda shifts it
-    "theorem9": (theorem9_vector(4), True, 16,
+    # the theorem 9 vector is tight, so find_lambda refuses it; 1/4 more is strict
+    "theorem9": (shift(theorem9_vector(4), F(1, 4)), 16,
                  "6e16cfb2f9aee959d4191325efb5bf2df58963181e01109b5dbcfe4f10e1665b"),
-    # the shape of the benchmark's realize queries, realized as given
-    "modular_plus_one": (modular_plus_one((F(3, 4), F(-1, 2), F(1), F(-5, 4))), False, 4,
+    # the shape of the benchmark's realize queries
+    "modular_plus_one": (modular_plus_one((F(3, 4), F(-1, 2), F(1), F(-5, 4))), 4,
                          "86d78942e79d3ebb49c8e86a1123e8f4a9e5edc945b288d7917b113dcdf18c79"),
 }
 
 
 class TestFindLambda:
     def test_hand_case_returns_two(self):
-        result = find_lambda(ONES2, F(1, 4), 64)
+        result = find_lambda(ONES2, 64)
         assert result.lam == 2
 
     def test_all_ones_n3(self):
         v = ProjectionVector.from_entries(3, {m: F(1) for m in range(1, 8)})
-        result = find_lambda(v, F(1, 4), 64)
+        result = find_lambda(v, 64)
         assert result.lam <= 8
         assert max(result.residual_report.values()) <= TOL
         for mask in canonical_subset_order(3):
@@ -317,28 +311,28 @@ class TestFindLambda:
 
     def test_lambda_one_kept_when_feasible(self):
         v = ProjectionVector.from_entries(2, {m: F(2) for m in range(1, 4)})
-        result = find_lambda(v, F(1, 4), 64)
+        result = find_lambda(v, 64)
         assert result.lam == 1
 
     def test_interior_shift_applied_on_boundary(self):
-        result = find_lambda(ProjectionVector.zero(2), F(1), 64)
+        """The boundary vector 0 is refused, naming its tight ground; the
+        caller's shift by 1 takes it inside, to ONES2, realized at lambda 2."""
+        zero = ProjectionVector.zero(2)
+        with pytest.raises(BoundaryError, match=r"zero slack on \{1,2\}$"):
+            find_lambda(zero, 64)
+        result = find_lambda(shift(zero, F(1)), 64)
         assert result.lam == 2
         for mask in canonical_subset_order(2):
             assert_within_slack(result.volumes[mask], exp_fraction(result.lam * ONES2[mask]))
 
-    def test_nonpositive_eps_rejected(self):
-        # rejected even on a strict vector, which needs no shift
-        with pytest.raises(ValueError):
-            find_lambda(ONES2, 0, 64)
-
     @pytest.mark.parametrize("cap", ["0", "1/2", "-4"])
     def test_cap_below_one_rejected(self, cap):
         with pytest.raises(ValueError, match="lambda_cap"):
-            find_lambda(ONES2, F(1, 4), cap)
+            find_lambda(ONES2, cap)
 
     def test_reads_no_generator_list(self, monkeypatch):
         """realize holds none of the generator-list names, and find_lambda
-        decides inside and tight with no margin evaluated."""
+        decides outside, boundary and strict with no margin evaluated."""
         for name in ("build_bt_system", "membership", "margin", "coefficients", "format_inequality",
                      "irreducible_covers", "ConeSystem"):
             assert not hasattr(realize, name), name
@@ -347,37 +341,37 @@ class TestFindLambda:
             raise AssertionError("a generator margin was evaluated")
 
         monkeypatch.setattr(cone, "margin", refuse)
-        v = sample_bt3_vector(random.Random(13))
-        for w in (ProjectionVector.zero(2), v, v.shift(F(1, 4))):
-            find_lambda(w, F(1, 4), 64)
+        for w in (ONES2, shift(sample_bt3_vector(random.Random(13)), F(1, 4))):
+            find_lambda(w, 64)
+        with pytest.raises(BoundaryError, match=r"on \{1,2\}"):
+            find_lambda(ProjectionVector.zero(2), 64)
         with pytest.raises(NotInConeError, match=r"on \{1,2\}"):
-            find_lambda(ProjectionVector.from_entries(2, {0b11: F(1)}), F(1, 4), 64)
+            find_lambda(ProjectionVector.from_entries(2, {0b11: F(1)}), 64)
 
     @pytest.mark.parametrize("name", sorted(PINNED_BODIES))
     def test_body_pinned(self, name):
         """Hash of the body find_lambda builds for each pinned n = 4 vector."""
-        v, shifted, lam, digest = PINNED_BODIES[name]
-        result = find_lambda(v, F(1, 4))
-        w = v.shift(F(1, 4)) if shifted else v
+        v, lam, digest = PINNED_BODIES[name]
+        result = find_lambda(v)
         for mask in canonical_subset_order(4):
-            assert_within_slack(result.volumes[mask], exp_fraction(lam * w[mask]))
+            assert_within_slack(result.volumes[mask], exp_fraction(lam * v[mask]))
         assert result.lam == lam
         assert hashlib.sha256(write_body(result.body).encode()).hexdigest() == digest
 
     def test_outside_cone_rejected(self):
         v = ProjectionVector.from_entries(2, {0b11: F(1)})
         with pytest.raises(NotInConeError):
-            find_lambda(v, F(1, 4), 64)
+            find_lambda(v, 64)
 
     def test_cap_reached_is_inconclusive(self):
         with pytest.raises(InconclusiveError):
-            find_lambda(ONES2, F(1, 4), 1)
+            find_lambda(ONES2, 1)
 
     def test_success_persists_at_double_lambda(self):
         rng = random.Random(17)
         for _ in range(3):
-            v = sample_bt3_vector(rng).shift(F(1, 4))
-            result = find_lambda(v, F(1, 4), 64)
+            v = shift(sample_bt3_vector(rng), F(1, 4))
+            result = find_lambda(v, 64)
             doubled = realize_vector(v, result.lam * 2)
             assert max(doubled.residual_report.values()) <= TOL
 
@@ -385,15 +379,15 @@ class TestFindLambda:
 class TestRoundTrip:
     def test_exact_volume_bookkeeping(self):
         # achieved volumes match the rationalized targets within _SLACK
-        v = sample_bt3_vector(random.Random(23)).shift(F(1, 4))
-        result = find_lambda(v, F(1, 4), 64)
+        v = shift(sample_bt3_vector(random.Random(23)), F(1, 4))
+        result = find_lambda(v, 64)
         for mask in canonical_subset_order(3):
             expected = exp_fraction(result.lam * v[mask])
             assert_within_slack(projection_volume(result.body, mask), expected)
 
     def test_residual_report_matches_gaps(self):
-        v = sample_bt3_vector(random.Random(29)).shift(F(1, 4))
-        result = find_lambda(v, F(1, 4), 64)
+        v = shift(sample_bt3_vector(random.Random(29)), F(1, 4))
+        result = find_lambda(v, 64)
         assert set(result.residual_report) == set(canonical_subset_order(3))
         for mask, gap in result.residual_report.items():
             assert gap == abs(log_fraction(result.volumes[mask]) - result.lam * v[mask])
@@ -414,7 +408,7 @@ class TestBodySize:
         bits, M the largest magnitude in bits of a nonzero endpoint."""
         v = theorem9_vector(4)
         for j in range(9):
-            result = double_lambda(v.shift(F(1, 2**j)))
+            result = double_lambda(shift(v, F(1, 2**j)))
             assert result.lam == 4 * 2**j
             ends = [x for box in result.body.boxes for iv in box.intervals for x in iv]
             magnitude = max(abs(q.numerator.bit_length() - q.denominator.bit_length()) for q in ends if q)
@@ -426,7 +420,7 @@ class TestBodySize:
         same body back, all within 20 s."""
         start = time.perf_counter()
         weights = (F(3, 4), F(-1, 2), F(1), F(-5, 4), F(1, 3), F(2, 5), F(-1, 7), F(2, 3))
-        result = double_lambda(modular_plus_one(weights[:n]).shift(F(-1, 2)))
+        result = double_lambda(shift(modular_plus_one(weights[:n]), F(-1, 2)))
         assert result.lam == lam
         assert read_body(write_body(result.body)) == result.body
         assert time.perf_counter() - start < 20
@@ -452,15 +446,14 @@ class TestBuiltRecords:
         body_path.write_text(text, encoding="utf-8")
         assert main(["project", "--body", str(body_path), "--out", str(vector_path)]) == 0
         projected = read_vector(vector_path.read_text(encoding="utf-8"))
-        for v in (w, projected, projected.shift(F(1, 8))):
+        for v in (w, projected, shift(projected, F(1, 8))):
             assert v == ProjectionVector.from_entries(v.n, v.entries)
 
     @pytest.mark.parametrize("name", sorted(PINNED_BODIES))
     def test_pinned_bodies(self, tmp_path, name):
-        v, shifted, _, _ = PINNED_BODIES[name]
-        w = v.shift(F(1, 4)) if shifted else v
-        result = double_lambda(w)
-        self.assert_checked(tmp_path, w, result.body)
+        v, _, _ = PINNED_BODIES[name]
+        result = double_lambda(v)
+        self.assert_checked(tmp_path, v, result.body)
 
     def test_guess_body(self, tmp_path):
         guess = LinearInequality.from_maps(
@@ -471,6 +464,6 @@ class TestBuiltRecords:
         self.assert_checked(tmp_path, witness, report.body)
 
     def test_half_plus_modular_n5_body(self, tmp_path):
-        w = modular_plus_one((F(3, 4), F(-1, 2), F(1), F(-5, 4), F(1, 3))).shift(F(-1, 2))
+        w = shift(modular_plus_one((F(3, 4), F(-1, 2), F(1), F(-5, 4), F(1, 3))), F(-1, 2))
         result = double_lambda(w)
         self.assert_checked(tmp_path, w, result.body)
