@@ -17,6 +17,7 @@ a from-import, so running one runs no other that the command does not call.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib.util
 import json
 import os
@@ -300,5 +301,13 @@ def main(argv=None) -> int:
         return 3
 
 
+def run() -> None:
+    """The process entry point: `python -m covercone` and the `covercone` script."""
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()  # shutdown's collections then skip the objects it is about to free anyway
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -185,10 +185,6 @@ class ProjectionVector(NamedTuple):
     entries: Mapping[int, Fraction]
 
     @classmethod
-    def zero(cls, n: int) -> "ProjectionVector":
-        return cls.from_entries(n, {})
-
-    @classmethod
     def from_entries(cls, n: int, entries: Mapping[int, Fraction]) -> "ProjectionVector":
         """Build a complete vector; absent masks default to 0.  ValueError for
         n or a mask out of range."""

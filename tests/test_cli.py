@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -200,6 +201,22 @@ class TestRealizeCommand:
         body = read_body((tmp_path / "body.json").read_text())
         assert len(body.boxes) == 3
 
+    def test_success_report(self, capsys, tmp_path):
+        """The report's gaps are |log |T_A| - lambda v_A| in canonical order,
+        and its steps run over every ground from the largest down, each with
+        the logs of the step's volumes on that ground's subsets."""
+        vec = write(tmp_path, "ones.json", ONES2)
+        code, out, _ = run(capsys, "realize", "--vector", vec, "--out", str(tmp_path / "body.json"))
+        assert code == 0
+        data = json.loads(out)
+        assert list(data) == ["realized", "lambda", "body_file", "max_gap", "gaps", "steps"]
+        assert list(data["gaps"]) == ["1", "2", "1,2"]
+        assert data["max_gap"] == max(data["gaps"].values(), key=float)
+        assert [step["ground"] for step in data["steps"]] == ["1,2", "2", "1"]
+        assert [list(step["log_z"]) for step in data["steps"]] == [["1", "2", "1,2"], ["2"], ["1"]]
+        # the first step consumes the whole target on [2]: log z_12 = lambda * v_12
+        assert data["steps"][0]["log_z"]["1,2"] == "2.0"
+
     def test_theorem9_refused_as_boundary(self, capsys, tmp_path):
         """The theorem 9 vector has zero slacks, first on {1,3}, so realize
         refuses it and writes no body; theorem 9 says no body realizes it,
@@ -294,7 +311,7 @@ class TestProjectCommand:
         cube = BoxUnionBody(3, (Box(((F(0), F(1)),) * 3),))
         volumes, vector = self.project(capsys, tmp_path, cube)
         assert set(volumes.values()) == {"1"}
-        assert vector == ProjectionVector.zero(3)
+        assert vector == ProjectionVector.from_entries(3, {})
 
     def test_two_box_logs(self, capsys, tmp_path):
         two_box = BoxUnionBody(2, (Box(((F(0), F(1)), (F(0), F(1)))),
@@ -373,6 +390,26 @@ class TestShearerCommand:
         code, _, err = run(capsys, "shearer", "--family", family, "--cover", cover)
         assert code == 2
         assert "coverage" in err
+
+
+def run_process(tmp_path, argv, stdout_closed):
+    """`python ARGV` in tmp_path, as (exit code, stdout, stderr); stdout is
+    read after exit, so it must fit in the pipe."""
+    env = dict(os.environ, PYTHONPATH=str(Path(covercone.__file__).parent.parent))
+    env.pop("PYTHONUNBUFFERED", None)  # buffered output is still pending at exit
+    read_end, write_end = os.pipe()
+    if stdout_closed:  # closed before the child starts, so every write fails
+        os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, *argv], cwd=tmp_path, stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=30)
+    finally:
+        os.close(write_end)
+    out = ""
+    if not stdout_closed:
+        with os.fdopen(read_end) as fh:
+            out = fh.read()
+    return proc.returncode, out, proc.stderr
 
 
 class TestUsageErrors:
@@ -523,25 +560,12 @@ class TestUsageErrors:
         (["system", "--n", "2"], True, 3),
     ], ids=["directory-input", "missing-output-dir", "closed-stdout"])
     def test_io_failure_is_one_error_line(self, tmp_path, argv, stdout_closed, code):
-        env = dict(os.environ, PYTHONPATH=str(Path(covercone.__file__).parent.parent))
-        env.pop("PYTHONUNBUFFERED", None)  # buffered output is still pending at exit
         write(tmp_path, "v.json", ONES2)
-        read_end, write_end = os.pipe()
-        if stdout_closed:  # closed before the child starts, so every write fails
-            os.close(read_end)
-        try:
-            proc = subprocess.run([sys.executable, "-m", "covercone", *argv], cwd=tmp_path,
-                                  stdout=write_end, stderr=subprocess.PIPE, text=True,
-                                  env=env, timeout=30)
-        finally:
-            os.close(write_end)
-        if not stdout_closed:
-            with os.fdopen(read_end) as fh:
-                assert fh.read() == ""
-        assert proc.returncode == code
-        assert proc.stderr.startswith("error: ")
-        assert proc.stderr.count("\n") == 1
-        assert "Traceback" not in proc.stderr
+        got, out, err = run_process(tmp_path, ["-m", "covercone", *argv], stdout_closed)
+        assert (got, out) == (code, "")
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_resource_limit_is_exit_three(self):
         env = dict(os.environ, PYTHONPATH=str(Path(covercone.__file__).parent.parent))
@@ -555,6 +579,60 @@ class TestUsageErrors:
         assert proc.stderr.startswith("error: ")
         assert proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
+
+
+OUT3 = '{"n": 3, "entries": {"1": "1", "2": "1", "1,2": "3"}}'
+
+#: the ways out of a process: a success, a verdict of 1, argparse's two
+#: SystemExits, and a stdout whose reader closed before the process started
+EXITS = pytest.mark.parametrize("argv, stdout_closed, code", [
+    (["system", "--n", "2"], False, 0),
+    (["member", "--vector", "out3.json"], False, 1),
+    (["--help"], False, 0),
+    (["frobnicate"], False, 2),
+    (["system", "--n", "2"], True, 3),
+], ids=["success", "verdict", "help", "usage-error", "closed-stdout"])
+
+
+class TestEntryPoint:
+    """`python -m covercone` enters through cli.run, which freezes the
+    collector on every way out, so interpreter shutdown does not walk the
+    objects it is about to free; in-process callers of main keep theirs."""
+
+    PROBE = ("import atexit, gc, runpy, sys\n"
+             "atexit.register(lambda: print('frozen:', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+             "runpy.run_module('covercone', run_name='__main__', alter_sys=True)\n")
+
+    @EXITS
+    def test_collector_frozen_at_exit(self, tmp_path, argv, stdout_closed, code):
+        write(tmp_path, "out3.json", OUT3)
+        got, _, err = run_process(tmp_path, ["-c", self.PROBE, *argv], stdout_closed)
+        assert got == code
+        assert err.splitlines()[-1] == "frozen: True"
+
+    @EXITS
+    def test_process_matches_main(self, tmp_path, monkeypatch, argv, stdout_closed, code):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to the terminal width
+        write(tmp_path, "out3.json", OUT3)
+        expected = run_process(tmp_path, ["-m", "covercone", *argv], stdout_closed)
+        monkeypatch.chdir(tmp_path)
+        err = io.StringIO()
+        if stdout_closed:
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            out = open(write_end, "w")
+        else:
+            out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                got = main(argv)
+            except SystemExit as exc:
+                got = exc.code
+        printed = "" if stdout_closed else out.getvalue()
+        out.close()  # what is left pending goes to devnull, as in the process
+        assert (got, printed, err.getvalue()) == expected
+        assert got == code
+        assert gc.get_freeze_count() == 0
 
 
 def fuzzed(alphabet: str, size: int):

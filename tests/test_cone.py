@@ -81,7 +81,7 @@ class TestBuildSystem:
 class TestMembership:
     def test_zero_vector_inside_all_tight(self):
         system = build_bt_system(3)
-        report = membership(system, ProjectionVector.zero(3))
+        report = membership(system, ProjectionVector.from_entries(3, {}))
         assert report.inside
         assert set(report.tight) == set(system.generators)
         assert report.violated == ()
@@ -95,7 +95,7 @@ class TestMembership:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            membership(build_bt_system(2), ProjectionVector.zero(3))
+            membership(build_bt_system(2), ProjectionVector.from_entries(3, {}))
 
     def test_scale_equivariance(self):
         system = build_bt_system(3)

@@ -135,7 +135,7 @@ class TestVectorFiles:
 
     def test_read_defaults_to_zero(self):
         v = read_vector('{"n":2, "entries":{}}')
-        assert v == ProjectionVector.zero(2)
+        assert v == ProjectionVector.from_entries(2, {})
 
     def test_read_witness_coordinates(self):
         text = json.dumps({
@@ -169,7 +169,7 @@ class TestVectorFiles:
             ProjectionVector.from_entries(2, {1: Fraction(0), 2: Fraction(0), 4: Fraction(0)})
 
     def test_write_zero_n1(self):
-        assert json.loads(write_vector(ProjectionVector.zero(1))) == {
+        assert json.loads(write_vector(ProjectionVector.from_entries(1, {}))) == {
             "n": 1,
             "entries": {"1": "0"},
         }

@@ -256,7 +256,7 @@ class TestViolatingBody:
 
         ineq = LinearInequality.from_maps(2, {0b11: F(1)}, {0b01: F(1), 0b10: F(1)})
         with pytest.raises(ValueError):
-            violating_body(ineq, ProjectionVector.zero(2))
+            violating_body(ineq, ProjectionVector.from_entries(2, {}))
 
 
 class TestInequalityFiles:

@@ -128,7 +128,7 @@ class TestInteriorShift:
     eps > 0 takes a vector of the cone strictly inside."""
 
     def test_zero_vector_becomes_ones(self):
-        shifted = shift(ProjectionVector.zero(2), F(1))
+        shifted = shift(ProjectionVector.from_entries(2, {}), F(1))
         assert shifted == ONES2
         g = build_bt_system(2).generators[0]
         assert cone.margin(g, shifted) == 1  # 1 + 1 > 1
@@ -261,7 +261,7 @@ class TestRealizeVector:
         # not strict on x_1 + x_2 >= x_12: the first step is infeasible at every lambda
         for lam in (1, 2, 64):
             with pytest.raises(BoxSystemInfeasible):
-                realize_vector(ProjectionVector.zero(2), lam)
+                realize_vector(ProjectionVector.from_entries(2, {}), lam)
 
     def test_positive_sides_and_disjointness(self):
         v = shift(sample_bt3_vector(random.Random(13)), F(1, 4))
@@ -317,7 +317,7 @@ class TestFindLambda:
     def test_interior_shift_applied_on_boundary(self):
         """The boundary vector 0 is refused, naming its tight ground; the
         caller's shift by 1 takes it inside, to ONES2, realized at lambda 2."""
-        zero = ProjectionVector.zero(2)
+        zero = ProjectionVector.from_entries(2, {})
         with pytest.raises(BoundaryError, match=r"zero slack on \{1,2\}$"):
             find_lambda(zero, 64)
         result = find_lambda(shift(zero, F(1)), 64)
@@ -344,7 +344,7 @@ class TestFindLambda:
         for w in (ONES2, shift(sample_bt3_vector(random.Random(13)), F(1, 4))):
             find_lambda(w, 64)
         with pytest.raises(BoundaryError, match=r"on \{1,2\}"):
-            find_lambda(ProjectionVector.zero(2), 64)
+            find_lambda(ProjectionVector.from_entries(2, {}), 64)
         with pytest.raises(NotInConeError, match=r"on \{1,2\}"):
             find_lambda(ProjectionVector.from_entries(2, {0b11: F(1)}), 64)
 

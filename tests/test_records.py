@@ -21,13 +21,13 @@ def _realization():
 BODY = BoxUnionBody(1, (Box(((Fraction(0), Fraction(1)),)),))
 
 RECORDS = {
-    "ProjectionVector": (lambda: ProjectionVector.zero(2), "entries"),
+    "ProjectionVector": (lambda: ProjectionVector.from_entries(2, {}), "entries"),
     "UniformCover": (lambda: UniformCover.from_parts(0b11, [0b01, 0b10]), "parts"),
     "ConeSystem": (lambda: build_bt_system(2), "generators"),
-    "MembershipReport": (lambda: membership(build_bt_system(2), ProjectionVector.zero(2)), "inside"),
+    "MembershipReport": (lambda: membership(build_bt_system(2), ProjectionVector.from_entries(2, {})), "inside"),
     "LinearInequality": (lambda: LinearInequality.from_maps(2, {1: 1, 2: 1}, {3: 1}), "coeffs"),
     "FarkasCertificate": (lambda: FarkasCertificate({0: Fraction(1)}), "weights"),
-    "SeparatingWitness": (lambda: SeparatingWitness(ProjectionVector.zero(2)), "vector"),
+    "SeparatingWitness": (lambda: SeparatingWitness(ProjectionVector.from_entries(2, {})), "vector"),
     "ViolationReport": (lambda: ViolationReport(1, BODY, 1, Fraction(1), Fraction(2)), "lhs_product"),
     "Box": (lambda: BODY.boxes[0], "intervals"),
     "BoxUnionBody": (lambda: BODY, "boxes"),

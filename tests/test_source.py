@@ -120,6 +120,25 @@ def test_lazy_modules_are_reached_only_through_the_module():
     assert lazy and not bad, f"names bound out of lazily loaded modules: {'; '.join(bad)}"
 
 
+def test_one_process_entry_point():
+    """`python -m covercone` and the installed `covercone` script both enter
+    through cli.run, the one place that freezes the collector; main, which
+    tests and bench/tracer.py call in-process, keeps collecting."""
+    assert [ast.unparse(node) for node in _tree(PACKAGE / "__main__.py").body] == [
+        "from .cli import run", "run()"]
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = pyproject.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert scripts.split() == ["covercone", "=", '"covercone.cli:run"']
+    freezes = [f"{path.name}: line {node.lineno}" for path in MODULES for node in ast.walk(_tree(path))
+               if isinstance(node, ast.Attribute) and node.attr == "freeze"
+               or isinstance(node, ast.alias) and node.name == "freeze"]
+    assert len(freezes) == 1, freezes
+    functions = {node.name: node for node in _tree(PACKAGE / "cli.py").body if isinstance(node, ast.FunctionDef)}
+    assert [ast.unparse(node) for node in ast.walk(functions["run"]) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute) and node.func.attr == "freeze"] == ["gc.freeze()"]
+    assert "freeze" not in ast.unparse(functions["main"])
+
+
 CORE = {"cli", "core"}
 MEMBER = CORE | {"cone", "covers"}
 GUESS4 = {"n": 4, "lhs": {"1,2": "1", "2,3": "1", "3,4": "1"}, "rhs": {"1,2,3": "1", "2,3,4": "1"}}

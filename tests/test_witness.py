@@ -68,7 +68,7 @@ class TestAnalyzeWitness:
             assert found == {expected}
 
     def test_zero_vector(self):
-        report = analyze_witness(ProjectionVector.zero(4))
+        report = analyze_witness(ProjectionVector.from_entries(4, {}))
         assert report.in_cone
         assert report.obstruction_lhs == report.obstruction_rhs == 0
         assert report.obstruction_holds
@@ -95,7 +95,7 @@ class TestAnalyzeWitness:
 
     def test_rejects_small_dimension(self):
         with pytest.raises(ValueError):
-            analyze_witness(ProjectionVector.zero(2))
+            analyze_witness(ProjectionVector.from_entries(2, {}))
 
 
 class TestShearer:
