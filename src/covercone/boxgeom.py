@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from math import floor
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 from .core import FormatError, elements, format_rational, load_object, parse_rational
 
@@ -26,9 +26,6 @@ class Box(NamedTuple):
     @property
     def n(self) -> int:
         return len(self.intervals)
-
-    def translate(self, shift: Fraction) -> "Box":
-        return Box(tuple((lo + shift, hi + shift) for lo, hi in self.intervals))
 
 
 class BoxUnionBody(NamedTuple):
@@ -82,27 +79,25 @@ def projection_volume(body: BoxUnionBody, mask: int) -> Fraction:
 
 
 def disjoint_offset(boxes: Sequence[Box]) -> BoxUnionBody:
-    """Translate each box along the diagonal so all coordinate intervals are
-    pairwise disjoint; projections onto every subspace are then disjoint and
-    measures add.  The first box stays; each later one starts at the least
-    integer above the largest endpoint so far, so its shift adds no new denominator."""
+    """Place the boxes so that on every axis their intervals are pairwise
+    disjoint: projections onto every subspace are then disjoint and measures
+    add.  Each axis is laid out on its own, sides kept, shortest first (ties
+    in box order): the first interval from 0, each later one from the least
+    integer past the end of the one before, so no start adds a denominator."""
     if not boxes:
         raise ValueError("need at least one box")
     n = boxes[0].n
-    out: list[Box] = []
-    top: Optional[Fraction] = None
-    for box in boxes:
-        if box.n != n:
-            raise ValueError("boxes must share a dimension")
-        if top is None:
-            shifted = box
-        else:
-            lo_min = min(lo for lo, _ in box.intervals)
-            shifted = box.translate(floor(top) + 1 - lo_min)
-        out.append(shifted)
-        hi_max = max(hi for _, hi in shifted.intervals)
-        top = hi_max if top is None else max(top, hi_max)
-    return BoxUnionBody(n, tuple(out))
+    if any(box.n != n for box in boxes):
+        raise ValueError("boxes must share a dimension")
+    columns = []
+    for axis in range(n):
+        sides = [hi - lo for lo, hi in (box.intervals[axis] for box in boxes)]
+        placed, start = [None] * len(boxes), 0
+        for i in sorted(range(len(boxes)), key=sides.__getitem__):  # fine sides start near 0, not past a large one
+            placed[i] = (Fraction(start), start + sides[i])
+            start = floor(start + sides[i]) + 1
+        columns.append(placed)
+    return BoxUnionBody(n, tuple(Box(intervals) for intervals in zip(*columns)))
 
 
 # ---------------------------------------------------------------------------

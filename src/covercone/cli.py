@@ -6,7 +6,8 @@ input file that is malformed or unreadable, 3 resource limit, output or
 internal failure (any RuntimeError: an enumeration or pivot budget ran out,
 `imply --emit-body` got a witness outside the cone (a partial `--kmax`), exp
 left the decimal exponent range, or a self-check failed; an OSError writing
-`--out`, `--emit-body` or stdout); codes 2 and 3 print one `error: ...` line.
+`--out`, `--emit-body` or stdout, or a stdout closed at start); codes 2 and 3
+print one `error: ...` line.
 
 Importing this module registers every other submodule in sys.modules, but a
 submodule runs only on its first attribute access, so a command compiles only
@@ -285,6 +286,9 @@ def main(argv=None) -> int:
     for name, value in vars(args).items():
         if value == []:  # argparse as of Python 3.11 reads `--opt=--` as [], skipping `type`
             parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
+    if sys.stdout is None:  # fd 1 was closed at start, so nothing could be printed
+        print("error: stdout is closed", file=sys.stderr)
+        return 3
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout fails here, not at exit

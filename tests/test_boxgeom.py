@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import axiswise_disjoint, inclusion_exclusion_volume, random_body, thicken
 from covercone.boxgeom import (
@@ -23,6 +24,10 @@ def box(*pairs):
 def unit_cube(n):
     return box(*(((0, 1),) * n))
 
+
+# mixed denominators, negative starts; sides may also be exactly 0
+endpoints = st.fractions(min_value=-20, max_value=20, max_denominator=60)
+sides = st.fractions(min_value=0, max_value=30, max_denominator=1000)
 
 TWO_BOX = BoxUnionBody(2, (box((0, 1), (0, 1)), box((0, 2), (0, Fraction(1, 2)))))
 
@@ -128,14 +133,34 @@ class TestDisjointOffset:
         assert projection_volume(body, 0b11) == 2
 
     def test_single_box_kept_in_place(self):
-        b = box((2, 3), (4, 5))
-        assert disjoint_offset((b,)).boxes == (b,)
+        """A lone box keeps its side lengths and starts at 0 on every axis."""
+        assert disjoint_offset((box((2, 3), (4, Fraction(9, 2))),)).boxes == (
+            box((0, 1), (0, Fraction(1, 2))),
+        )
 
-    def test_axiswise_disjoint(self):
-        rng = random.Random(61)
-        for _ in range(25):
-            body = random_body(rng, 3, 4)
-            assert axiswise_disjoint(disjoint_offset(body.boxes))
+    @settings(deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.lists(st.tuples(endpoints, st.one_of(st.just(Fraction(0)), sides)), min_size=n, max_size=n),
+        min_size=1, max_size=6)))
+    def test_axiswise_disjoint(self, drawn):
+        """Each box keeps its side lengths, each axis is laid out from 0
+        shortest first (ties in box order) with pairwise disjoint intervals,
+        and every projection volume is the sum of the boxes' own."""
+        boxes = tuple(Box(tuple((lo, lo + side) for lo, side in ivs)) for ivs in drawn)
+        n = boxes[0].n
+        body = disjoint_offset(boxes)
+        assert body.n == n and len(body.boxes) == len(boxes)
+        assert axiswise_disjoint(body)
+        for axis in range(n):
+            placed = [b.intervals[axis] for b in body.boxes]
+            assert [hi - lo for lo, hi in placed] == [ivs[axis][1] for ivs in drawn]
+            order = sorted(range(len(boxes)), key=lambda i: placed[i][0])
+            assert placed[order[0]][0] == 0
+            keys = [(placed[i][1] - placed[i][0], i) for i in order]
+            assert keys == sorted(keys)
+        for mask in canonical_subset_order(n):
+            own = sum((projection_volume(BoxUnionBody(n, (b,)), mask) for b in boxes), Fraction(0))
+            assert projection_volume(body, mask) == own
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -394,15 +394,18 @@ class TestShearerCommand:
 
 def run_process(tmp_path, argv, stdout_closed):
     """`python ARGV` in tmp_path, as (exit code, stdout, stderr); stdout is
-    read after exit, so it must fit in the pipe."""
+    read after exit, so it must fit in the pipe.  stdout_closed is False,
+    "reader" (the pipe's reader is closed before the child starts, so every
+    write fails) or "fd" (the child starts with fd 1 closed)."""
     env = dict(os.environ, PYTHONPATH=str(Path(covercone.__file__).parent.parent))
     env.pop("PYTHONUNBUFFERED", None)  # buffered output is still pending at exit
     read_end, write_end = os.pipe()
-    if stdout_closed:  # closed before the child starts, so every write fails
+    if stdout_closed:
         os.close(read_end)
     try:
         proc = subprocess.run([sys.executable, *argv], cwd=tmp_path, stdout=write_end,
-                              stderr=subprocess.PIPE, text=True, env=env, timeout=30)
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=30,
+                              preexec_fn=(lambda: os.close(1)) if stdout_closed == "fd" else None)
     finally:
         os.close(write_end)
     out = ""
@@ -557,8 +560,9 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv, stdout_closed, code", [
         (["member", "--vector", "."], False, 2),
         (["realize", "--vector", "v.json", "--out", "nodir/b.json"], False, 3),
-        (["system", "--n", "2"], True, 3),
-    ], ids=["directory-input", "missing-output-dir", "closed-stdout"])
+        (["system", "--n", "2"], "reader", 3),
+        (["system", "--n", "2"], "fd", 3),
+    ], ids=["directory-input", "missing-output-dir", "closed-stdout", "closed-fd1"])
     def test_io_failure_is_one_error_line(self, tmp_path, argv, stdout_closed, code):
         write(tmp_path, "v.json", ONES2)
         got, out, err = run_process(tmp_path, ["-m", "covercone", *argv], stdout_closed)
@@ -590,7 +594,7 @@ EXITS = pytest.mark.parametrize("argv, stdout_closed, code", [
     (["member", "--vector", "out3.json"], False, 1),
     (["--help"], False, 0),
     (["frobnicate"], False, 2),
-    (["system", "--n", "2"], True, 3),
+    (["system", "--n", "2"], "reader", 3),
 ], ids=["success", "verdict", "help", "usage-error", "closed-stdout"])
 
 

@@ -167,7 +167,7 @@ class TestViolatingBody:
         report = violating_body(GUESS, check_implication(system, GUESS).vector)
         assert report.lam == 20
         digest = hashlib.sha256(write_body(report.body).encode()).hexdigest()
-        assert digest == "e4ee99d2a80eeaf3c52bfc4db164222fff0050612e3f6a04e339a60768a14f47"
+        assert digest == "6b16b27e268f8221f9ba77b9444b22b1ead2a5e6ff072dd781c0bf93addc657c"
 
     def test_reversed_generator_body(self):
         system = build_bt_system(2)
