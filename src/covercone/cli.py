@@ -7,7 +7,14 @@ internal failure (any RuntimeError: an enumeration or pivot budget ran out,
 `imply --emit-body` got a witness outside the cone (a partial `--kmax`), exp
 left the decimal exponent range, or a self-check failed; an OSError writing
 `--out`, `--emit-body` or stdout, or a stdout closed at start); codes 2 and 3
-print one `error: ...` line.
+print one `error: ...` line on stderr, or none when stderr is closed, except
+argparse's usage errors, which print a `usage:` line and then
+`covercone: error: ...`, or `covercone <cmd>: error: ...` for a command's
+options.
+
+One table, COMMANDS, holds each command's handler, help line and options.
+parse_args reads a well-formed command line from it directly; argparse is
+imported, inside build_parser, only for `--help` and usage errors.
 
 Importing this module registers every other submodule in sys.modules, but a
 submodule runs only on its first attribute access, so a command compiles only
@@ -17,7 +24,6 @@ a from-import, so running one runs no other that the command does not call.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import importlib.util
 import json
@@ -25,6 +31,7 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 for _name in ("boxgeom", "cone", "covers", "farkas", "realize", "simplex", "witness"):
     if f"{__package__}.{_name}" not in sys.modules:
@@ -227,77 +234,143 @@ def cmd_shearer(args) -> int:
     return 0 if report.holds else 1
 
 
+#: command -> (handler, help line, options); each option maps its flag to its
+#: add_argument keywords.  build_parser and parse_args both read this table.
+COMMANDS = {
+    "covers": (cmd_covers, "enumerate uniform covers of a ground set", {
+        "--ground": {"required": True, "help": "comma-separated elements, e.g. 1,2,3"},
+        "--kmax": {"type": parse_integer, "default": None,
+                   "help": "list only covers of multiplicity k <= KMAX (default: |ground|)"},
+        "--irreducible": {"action": "store_true"},
+    }),
+    "member": (cmd_member, "test cone membership of a vector file", {
+        "--vector": {"required": True},
+    }),
+    "imply": (cmd_imply, "certificate or witness for an inequality file", {
+        "--inequality": {"required": True},
+        "--emit-body": {"default": None, "help": "write a violating body here"},
+        "--kmax": {"type": parse_integer, "default": None,
+                   "help": "use only covers with k <= KMAX (default: the complete cone, which "
+                           "any KMAX >= n also gives); below |Y| the cone is partial, so a "
+                           "certificate is still valid but a refutation may be wrong"},
+    }),
+    "realize": (cmd_realize, "construct a body for a scaled interior vector", {
+        "--vector": {"required": True},
+        "--lambda-cap": {"help": "give up past this lambda (default: 1024)"},
+        "--out": {"required": True},
+    }),
+    "project": (cmd_project, "exact projection volumes and log vector of a body", {
+        "--body": {"required": True},
+        "--out": {"required": True},
+    }),
+    "system": (cmd_system, "print the generator list as plain-text inequalities", {
+        "--n": {"type": parse_integer, "required": True},
+    }),
+    "witness": (cmd_witness, "analyze the boundary witness vector", {
+        "--n": {"type": parse_integer, "required": True},
+    }),
+    "shearer": (cmd_shearer, "discrete product-theorem check for a set family", {
+        "--family": {"required": True},
+        "--cover": {"required": True, "help": "its multiplicity k is the one checked"},
+    }),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # here only, so a well-formed command line skips its ~2.6 ms import and build
+
     parser = argparse.ArgumentParser(
         prog="covercone",
         description="Exact computation with the uniform-cover cone of log projection volumes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("covers", help="enumerate uniform covers of a ground set")
-    p.add_argument("--ground", required=True, help="comma-separated elements, e.g. 1,2,3")
-    p.add_argument("--kmax", type=parse_integer, default=None,
-                   help="list only covers of multiplicity k <= KMAX (default: |ground|)")
-    p.add_argument("--irreducible", action="store_true")
-    p.set_defaults(func=cmd_covers)
-
-    p = sub.add_parser("member", help="test cone membership of a vector file")
-    p.add_argument("--vector", required=True)
-    p.set_defaults(func=cmd_member)
-
-    p = sub.add_parser("imply", help="certificate or witness for an inequality file")
-    p.add_argument("--inequality", required=True)
-    p.add_argument("--emit-body", default=None, help="write a violating body here")
-    p.add_argument("--kmax", type=parse_integer, default=None,
-                   help="use only covers with k <= KMAX (default: the complete cone, which "
-                        "any KMAX >= n also gives); below |Y| the cone is partial, so a "
-                        "certificate is still valid but a refutation may be wrong")
-    p.set_defaults(func=cmd_imply)
-
-    p = sub.add_parser("realize", help="construct a body for a scaled interior vector")
-    p.add_argument("--vector", required=True)
-    p.add_argument("--lambda-cap", help="give up past this lambda (default: 1024)")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_realize)
-
-    p = sub.add_parser("project", help="exact projection volumes and log vector of a body")
-    p.add_argument("--body", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_project)
-
-    p = sub.add_parser("system", help="print the generator list as plain-text inequalities")
-    p.add_argument("--n", type=parse_integer, required=True)
-    p.set_defaults(func=cmd_system)
-
-    p = sub.add_parser("witness", help="analyze the boundary witness vector")
-    p.add_argument("--n", type=parse_integer, required=True)
-    p.set_defaults(func=cmd_witness)
-
-    p = sub.add_parser("shearer", help="discrete product-theorem check for a set family")
-    p.add_argument("--family", required=True)
-    p.add_argument("--cover", required=True, help="its multiplicity k is the one checked")
-    p.set_defaults(func=cmd_shearer)
+    for name, (func, help_line, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for flag, keywords in options.items():
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 
+def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse would give a command name followed only by its
+    own long options, each at most once, as `--opt VALUE`, `--opt=VALUE` or a
+    bare flag, every value nonempty, not starting with `-` and converted by
+    its `type`, every required option present; None for any other argv."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    func, _, options = COMMANDS[argv[0]]
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        keywords = options.get(flag)
+        if keywords is None or flag in given:
+            return None
+        if keywords.get("action") == "store_true":
+            if eq:
+                return None
+            given[flag] = True
+            continue
+        if not eq:
+            value = next(tokens, "")
+        if not value or value.startswith("-"):
+            return None
+        convert = keywords.get("type")
+        if convert is not None:
+            try:
+                value = convert(value)
+            except (TypeError, ValueError):
+                return None
+        given[flag] = value
+    fields = {"command": argv[0]}
+    for flag, keywords in options.items():
+        if flag not in given and keywords.get("required"):
+            return None
+        default = keywords.get("default", False if keywords.get("action") == "store_true" else None)
+        fields[flag[2:].replace("-", "_")] = given.get(flag, default)
+    return SimpleNamespace(**fields, func=func)
+
+
+def parse_args(argv=None):
+    """The command line as argparse reads it, through argparse only for
+    `--help`, usage errors and any argv that _parse_plain does not take."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_plain(argv)
+    if args is None:
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        for name, value in vars(args).items():
+            if value == []:  # argparse as of Python 3.11 reads `--opt=--` as [], skipping `type`
+                parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
+    return args
+
+
+def _error(message: object) -> None:
+    """One `error:` line on stderr, dropped when a launcher left fd 2 open on
+    something unwritable (run then sends the failed line to devnull)."""
+    try:
+        print(f"error: {message}", file=sys.stderr)
+    except OSError:
+        pass
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    for name, value in vars(args).items():
-        if value == []:  # argparse as of Python 3.11 reads `--opt=--` as [], skipping `type`
-            parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
+    if sys.stderr is None:  # fd 2 was closed at start; print(file=None) would write to stdout
+        sys.stderr = open(os.devnull, "w", encoding="utf-8")
+    args = parse_args(argv)
     if sys.stdout is None:  # fd 1 was closed at start, so nothing could be printed
-        print("error: stdout is closed", file=sys.stderr)
+        _error("stdout is closed")
         return 3
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout fails here, not at exit
         return code
     except ValueError as exc:  # includes FormatError
-        print(f"error: {exc}", file=sys.stderr)
+        _error(exc)
         return 2
     except (RuntimeError, OSError) as exc:  # _read_text made input OSErrors FormatErrors
-        print(f"error: {exc}", file=sys.stderr)
+        _error(exc)
         try:
             sys.stdout.flush()
         except OSError:  # stdout itself failed: let the flush at exit go to devnull
@@ -311,6 +384,10 @@ def run() -> None:
         sys.exit(main())
     finally:
         gc.freeze()  # shutdown's collections then skip the objects it is about to free anyway
+        try:
+            sys.stderr.flush()
+        except OSError:  # fd 2 is open on something unwritable: let the flush at exit go to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import covercone
 from covercone.boxgeom import read_body, write_body, BoxUnionBody, Box
+from covercone import cli
 from covercone.cli import build_parser, main
 from covercone.cone import build_bt_system
 from covercone.core import canonical_subset_order, log_fraction, read_vector, write_vector, ProjectionVector
@@ -392,20 +393,32 @@ class TestShearerCommand:
         assert "coverage" in err
 
 
-def run_process(tmp_path, argv, stdout_closed):
+def run_process(tmp_path, argv, stdout_closed, stderr_closed=False):
     """`python ARGV` in tmp_path, as (exit code, stdout, stderr); stdout is
     read after exit, so it must fit in the pipe.  stdout_closed is False,
     "reader" (the pipe's reader is closed before the child starts, so every
-    write fails) or "fd" (the child starts with fd 1 closed)."""
+    write fails) or "fd" (the child starts with fd 1 closed).  stderr_closed
+    is False, "fd" (the child starts with fd 2 closed) or "reused" (fd 2 is
+    open read-only on /dev/null, as a launcher that closed it and then opened
+    a file leaves it); stderr then reads ""."""
     env = dict(os.environ, PYTHONPATH=str(Path(covercone.__file__).parent.parent))
     env.pop("PYTHONUNBUFFERED", None)  # buffered output is still pending at exit
+
+    def close_fds():
+        if stdout_closed == "fd":
+            os.close(1)
+        if stderr_closed:
+            os.close(2)
+        if stderr_closed == "reused":
+            os.set_inheritable(os.open(os.devnull, os.O_RDONLY), True)
+
     read_end, write_end = os.pipe()
     if stdout_closed:
         os.close(read_end)
     try:
         proc = subprocess.run([sys.executable, *argv], cwd=tmp_path, stdout=write_end,
                               stderr=subprocess.PIPE, text=True, env=env, timeout=30,
-                              preexec_fn=(lambda: os.close(1)) if stdout_closed == "fd" else None)
+                              preexec_fn=close_fds if stdout_closed == "fd" or stderr_closed else None)
     finally:
         os.close(write_end)
     out = ""
@@ -571,6 +584,21 @@ class TestUsageErrors:
         assert err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, stderr_closed, code", [
+        (["member", "--vector", "missing.json"], "fd", 2),
+        (["member", "--vector", "missing.json"], "reused", 2),
+        (["realize", "--vector", "v.json", "--out", "nodir/b.json"], "fd", 3),
+        (["realize", "--vector", "v.json", "--out", "nodir/b.json"], "reused", 3),
+        (["member", "--vector"], "fd", 2),
+    ], ids=["missing-input-fd", "missing-input-reused", "missing-output-dir-fd", "missing-output-dir-reused",
+            "usage-error-fd"])
+    def test_closed_stderr_keeps_the_exit_code_and_stdout_empty(self, tmp_path, argv, stderr_closed, code):
+        """With fd 2 closed at start the error line (or argparse's usage) is
+        dropped, not printed on stdout; with fd 2 reused for a read-only file
+        the failed write turns exit 2 or 3 into neither 1 nor 120."""
+        write(tmp_path, "v.json", ONES2)
+        assert run_process(tmp_path, ["-m", "covercone", *argv], False, stderr_closed) == (code, "", "")
+
     def test_resource_limit_is_exit_three(self):
         env = dict(os.environ, PYTHONPATH=str(Path(covercone.__file__).parent.parent))
         proc = subprocess.run(
@@ -711,14 +739,90 @@ class TestArgumentFuzz:
         assert_exit_contract(["covers", f"--ground={ground}", "--kmax", "1"])
 
 
-def test_readme_cli_examples_parse():
+#: every long option of every command, and prefixes argparse expands
+FLAGS = sorted({flag for _, _, options in cli.COMMANDS.values() for flag in options})
+PREFIXES = ["--vec", "--k", "--lambda", "--emit", "--ir", "--h", "--he"]
+#: option values any option takes, some of them as integers
+PLAIN = ["x.json", "1,2", "4", "+3", "03"]
+#: and empty, dashed, with `=` or integer spellings that parse_integer refuses
+VALUES = PLAIN + ["", "-", "--", "-3", "-x", "a=b", "=", "\u0663", "0_3", " 3"]
+
+
+@st.composite
+def command_lines(draw):
+    """A command, often with its own options, their values often plain, in
+    either form (a line argparse is skipped for), and often a few tokens that
+    may be anything put in anywhere after the command."""
+    command = draw(st.sampled_from([*cli.COMMANDS, "frobnicate", "-h", "--help", "--"]))
+    options = cli.COMMANDS[command][2] if command in cli.COMMANDS else {}
+    own = list(options)
+    argv = [command]
+    # all of them once, in any order, or a few, maybe repeated
+    chosen = draw(st.one_of(st.permutations(own), st.lists(st.sampled_from(own), max_size=3))) if own else []
+    for flag in chosen:
+        value = draw(st.one_of(st.sampled_from(PLAIN), st.sampled_from(VALUES)))
+        if options[flag].get("action") == "store_true":
+            argv.append(flag if draw(st.booleans()) else f"{flag}={value}")
+        else:
+            argv += [flag, value] if draw(st.booleans()) else [f"{flag}={value}"]
+    flags = st.sampled_from(own or FLAGS)
+    values = st.one_of(st.sampled_from(VALUES), st.text(max_size=3))
+    tokens = st.one_of(
+        st.tuples(st.one_of(flags, st.sampled_from(FLAGS + PREFIXES)), values),
+        st.builds(lambda flag, value: (f"{flag}={value}",), st.one_of(flags, st.sampled_from(PREFIXES)), values),
+        st.tuples(st.one_of(flags, values, st.sampled_from([*cli.COMMANDS, "-h", "--help", "--", "-"]))),
+    )
+    extra = [token for group in draw(st.one_of(st.just([]), st.lists(tokens, max_size=3))) for token in group]
+    at = draw(st.integers(1, len(argv)))
+    return argv[:at] + extra + argv[at:]
+
+
+def parsed(parse, argv):
+    """vars() of the namespace, or the SystemExit code, with stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=command_lines())
+def test_parse_args_matches_argparse(argv):
+    """cli.parse_args gives argparse's namespace, or its exit code and text,
+    for any command line, whether or not it went through argparse; only
+    argparse's reading of `--opt=--` as [] becomes a usage error."""
+    got = parsed(cli.parse_args, argv)
+    expected = parsed(lambda argv: build_parser().parse_args(argv), argv)
+    if isinstance(expected[0], dict) and [] in expected[0].values():
+        assert got[:2] == (2, "") and got[2].endswith(": expected one argument\n"), argv
+    else:
+        assert got == expected, argv
+
+
+#: well-formed spellings that README's examples do not show
+SPELLINGS = [
+    ["imply", "--inequality=in.json", "--kmax", "+3", "--emit-body", "b.json"],
+    ["covers", "--irreducible", "--ground=1,2,3"],
+    ["realize", "--out", "b.json", "--vector", "v.json", "--lambda-cap", "1/2"],
+    ["system", "--n=03"],
+]
+
+
+def test_readme_cli_examples_parse(monkeypatch):
     """Every `covercone ...` command in README's CLI block (a trailing
-    backslash continues a line) is accepted by the parser."""
+    backslash continues a line), and each of SPELLINGS, is read without
+    argparse, as argparse reads it."""
     text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     lines = [line for line in block.replace("\\\n", " ").splitlines()
              if line.startswith("covercone ")]
+    examples = [shlex.split(line)[1:] for line in lines]
+    assert {argv[0] for argv in examples} == {"covers", "member", "imply", "realize", "project", "system",
+                                              "witness", "shearer"}
     parser = build_parser()
-    commands = {parser.parse_args(shlex.split(line)[1:]).command for line in lines}
-    assert commands == {"covers", "member", "imply", "realize", "project", "system",
-                        "witness", "shearer"}
+    expected = [vars(parser.parse_args(argv)) for argv in examples + SPELLINGS]
+    monkeypatch.setattr(cli, "build_parser", None)
+    assert [vars(cli.parse_args(argv)) for argv in examples + SPELLINGS] == expected

@@ -6,7 +6,8 @@ import path, its defining module (the package itself re-exports nothing),
 and every record is a plain typing.NamedTuple.
 The last tests run the CLI in fresh interpreters: its import registers every
 module that bench/tracer.py traces and loads no dataclasses, each command runs
-only the modules it calls, and the tracer still sees every layer.
+only the modules it calls, a well-formed command line loads no argparse, and
+the tracer still sees every layer.
 """
 
 import ast
@@ -159,12 +160,17 @@ COMMANDS = [
      MEMBER | {"simplex", "farkas", "boxgeom"}),
     (["covers", "--ground", "1,2,3", "--irreducible"], CORE | {"covers"}),
     (["shearer", "--family", "family3.json", "--cover", "triangle.json"], CORE | {"covers", "witness"}),
+    (["member", "--vector"], CORE),
 ]
+#: the command lines argparse reads: every other one loads none of these
+ARGPARSE = ["argparse", "gettext", "locale"]
+PARSED_BY_ARGPARSE = [["--help"], ["member", "--vector"]]
 
 
 def test_each_command_runs_only_the_modules_it_calls(tmp_path):
     """A module registered by `import covercone.cli` but never used stays a
-    lazy module, whose type is not types.ModuleType, so it is not compiled."""
+    lazy module, whose type is not types.ModuleType, so it is not compiled.
+    Only `--help` and a usage error import argparse (with gettext and locale)."""
     (tmp_path / "ones.json").write_text('{"n": 2, "entries": {"1": "1", "2": "1", "1,2": "1"}}')
     (tmp_path / "guess4.json").write_text(json.dumps(GUESS4))
     (tmp_path / "family3.json").write_text(json.dumps(FAMILY3))
@@ -174,11 +180,13 @@ def test_each_command_runs_only_the_modules_it_calls(tmp_path):
             "try: main(sys.argv[1:])\n"
             "except SystemExit: pass\n"
             "print(*sorted(n for n, m in sys.modules.items() if n.startswith('covercone.')"
-            " and type(m) is types.ModuleType), file=sys.stderr)")
+            " and type(m) is types.ModuleType), file=sys.stderr)\n"
+            f"print(*[n for n in {ARGPARSE!r} if n in sys.modules], file=sys.stderr)")
     for argv, expected in COMMANDS:
         proc = _run(["-c", code, *argv], cwd=tmp_path)
-        ran = proc.stderr.splitlines()[-1].split()
+        ran, stdlib = (line.split() for line in proc.stderr.splitlines()[-2:])
         assert ran == sorted(f"covercone.{name}" for name in expected), argv
+        assert ("argparse" in stdlib) if argv in PARSED_BY_ARGPARSE else not stdlib, (argv, stdlib)
 
 
 def test_bench_tracer_sees_every_layer(tmp_path):
