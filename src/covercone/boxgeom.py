@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from math import floor
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .core import FormatError, elements, format_rational, load_object, parse_rational
 
@@ -22,10 +22,6 @@ class Box(NamedTuple):
     A plain record, like BoxUnionBody: read_body checks a body file's boxes."""
 
     intervals: tuple[tuple[Fraction, Fraction], ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.intervals)
 
 
 class BoxUnionBody(NamedTuple):
@@ -78,24 +74,22 @@ def projection_volume(body: BoxUnionBody, mask: int) -> Fraction:
     return measure(frozenset(range(len(rects))), 0)
 
 
-def disjoint_offset(boxes: Sequence[Box]) -> BoxUnionBody:
-    """Place the boxes so that on every axis their intervals are pairwise
-    disjoint: projections onto every subspace are then disjoint and measures
-    add.  Each axis is laid out on its own, sides kept, shortest first (ties
-    in box order): the first interval from 0, each later one from the least
+def disjoint_offset(n: int, sides: Sequence[Mapping[int, Fraction]]) -> BoxUnionBody:
+    """An n-dimensional body of one box per map in `sides`, axis (1-based) ->
+    side length, an axis left out a point.  On every axis the intervals are
+    pairwise disjoint, so projections onto every subspace are disjoint and
+    measures add.  Each axis is laid out on its own, shortest first (ties in
+    box order): the first interval from 0, each later one from the least
     integer past the end of the one before, so no start adds a denominator."""
-    if not boxes:
+    if not sides:
         raise ValueError("need at least one box")
-    n = boxes[0].n
-    if any(box.n != n for box in boxes):
-        raise ValueError("boxes must share a dimension")
     columns = []
-    for axis in range(n):
-        sides = [hi - lo for lo, hi in (box.intervals[axis] for box in boxes)]
-        placed, start = [None] * len(boxes), 0
-        for i in sorted(range(len(boxes)), key=sides.__getitem__):  # fine sides start near 0, not past a large one
-            placed[i] = (Fraction(start), start + sides[i])
-            start = floor(start + sides[i]) + 1
+    for axis in range(1, n + 1):
+        lengths = [box.get(axis, Fraction(0)) for box in sides]
+        placed, start = [None] * len(sides), 0
+        for i in sorted(range(len(sides)), key=lengths.__getitem__):  # fine sides start near 0, not past a large one
+            placed[i] = (Fraction(start), start + lengths[i])
+            start = floor(start + lengths[i]) + 1
         columns.append(placed)
     return BoxUnionBody(n, tuple(Box(intervals) for intervals in zip(*columns)))
 

@@ -6,11 +6,11 @@ input file that is malformed or unreadable, 3 resource limit, output or
 internal failure (any RuntimeError: an enumeration or pivot budget ran out,
 `imply --emit-body` got a witness outside the cone (a partial `--kmax`), exp
 left the decimal exponent range, or a self-check failed; an OSError writing
-`--out`, `--emit-body` or stdout, or a stdout closed at start); codes 2 and 3
-print one `error: ...` line on stderr, or none when stderr is closed, except
-argparse's usage errors, which print a `usage:` line and then
-`covercone: error: ...`, or `covercone <cmd>: error: ...` for a command's
-options.
+`--out`, `--emit-body` or stdout, or a stdout closed at start, also under
+`--help`); codes 2 and 3 print one `error: ...` line on stderr, or none when
+stderr is closed, except argparse's usage errors, which print a `usage:` line
+and then `covercone: error: ...`, or `covercone <cmd>: error: ...` for a
+command's options.
 
 One table, COMMANDS, holds each command's handler, help line and options.
 parse_args reads a well-formed command line from it directly; argparse is
@@ -358,11 +358,20 @@ def _error(message: object) -> None:
 def main(argv=None) -> int:
     if sys.stderr is None:  # fd 2 was closed at start; print(file=None) would write to stdout
         sys.stderr = open(os.devnull, "w", encoding="utf-8")
-    args = parse_args(argv)
-    if sys.stdout is None:  # fd 1 was closed at start, so nothing could be printed
-        _error("stdout is closed")
-        return 3
+    closed = sys.stdout is None  # fd 1 was closed at start, so nothing can be printed
+    if closed:  # argparse would print --help on stderr instead
+        sys.stdout = open(os.devnull, "w", encoding="utf-8")
     try:
+        try:
+            args = parse_args(argv)
+        except OSError:  # Python 3.10's argparse lets a failed write of its usage out; 3.11 exits 2
+            return 2
+        except SystemExit as exc:  # argparse printed --help (code 0) on stdout, or a usage error
+            if exc.code or not closed:
+                sys.stdout.flush()  # a closed pipe fails --help here, as it fails a command's output
+                raise
+        if closed:  # nothing runs, --help included
+            raise OSError("stdout is closed")
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout fails here, not at exit
         return code

@@ -150,14 +150,13 @@ def violating_body(ineq: LinearInequality, witness: ProjectionVector) -> Violati
     if delta <= 0:
         raise ValueError("witness does not violate the inequality")
     lam = ceil(ineq.n * sum(abs(c) for c in ineq.coeffs.values()) / delta)
-    boxes = []
+    sides = []
     for ground in canonical_subset_order(ineq.n):
         found = cone.core_point(ground, witness.entries)
         if found is None:
             raise RuntimeError(f"witness is outside the cone on {{{format_subset(ground)}}}")
-        sides = {i: Fraction(2) ** floor(lam * u) for i, u in found[1].items()}
-        boxes.append(boxgeom.Box(tuple((Fraction(0), sides.get(axis, Fraction(0))) for axis in range(1, ineq.n + 1))))
-    body = boxgeom.disjoint_offset(boxes)
+        sides.append({i: Fraction(2) ** floor(lam * u) for i, u in found[1].items()})
+    body = boxgeom.disjoint_offset(ineq.n, sides)
 
     scale = lcm(*(c.denominator for c in ineq.coeffs.values()))
     lhs_product = rhs_product = Fraction(1)

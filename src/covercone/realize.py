@@ -49,7 +49,6 @@ from .core import (
 
 DEFAULT_LAMBDA_CAP = 1024
 DEFAULT_TOLERANCE = Fraction(1, 10**6)
-_ZERO = Fraction(0)
 
 
 class NotInConeError(ValueError):
@@ -154,16 +153,14 @@ def realize_vector(v: ProjectionVector, lam) -> RealizationResult:
 
     targets = {a: exp_fraction(lam * v[a]) for a in canonical_subset_order(v.n)}
     steps: list[BoxSystem] = []
-    raw_boxes: list[boxgeom.Box] = []
     for ground in reversed(canonical_subset_order(v.n)):
         y = {a: targets[a] if a == ground else targets[a] / 2 for a in subsets_of(ground)}
         bs = solve_box_system(ground, y)
-        raw_boxes.append(boxgeom.Box(tuple((_ZERO, bs.sides.get(axis, _ZERO)) for axis in range(1, v.n + 1))))
         steps.append(bs)
         for a in subsets_of(ground):
             targets[a] -= bs.z[a]
 
-    body = boxgeom.disjoint_offset(raw_boxes)
+    body = boxgeom.disjoint_offset(v.n, [step.sides for step in steps])
     volumes = {a: boxgeom.projection_volume(body, a) for a in canonical_subset_order(v.n)}
     report = {a: abs(log_fraction(vol) - lam * v[a]) for a, vol in volumes.items()}
     max_gap = max(report.values())

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,7 @@ from covercone.boxgeom import (
     read_body,
     write_body,
 )
-from covercone.core import FormatError, canonical_subset_order
+from covercone.core import FormatError, canonical_subset_order, elements
 
 
 def box(*pairs):
@@ -25,8 +26,12 @@ def unit_cube(n):
     return box(*(((0, 1),) * n))
 
 
-# mixed denominators, negative starts; sides may also be exactly 0
-endpoints = st.fractions(min_value=-20, max_value=20, max_denominator=60)
+def side_map(bx):
+    """axis (1-based) -> side length, as disjoint_offset takes a box."""
+    return {axis: hi - lo for axis, (lo, hi) in enumerate(bx.intervals, 1)}
+
+
+# mixed denominators; sides may also be exactly 0
 sides = st.fractions(min_value=0, max_value=30, max_denominator=1000)
 
 TWO_BOX = BoxUnionBody(2, (box((0, 1), (0, 1)), box((0, 2), (0, Fraction(1, 2)))))
@@ -74,7 +79,7 @@ class TestProjectionVolume:
             a = random_body(rng, 3, 2)
             b = random_body(rng, 3, 2)
             union = BoxUnionBody(3, a.boxes + b.boxes)
-            spread = disjoint_offset(a.boxes + b.boxes)
+            spread = disjoint_offset(3, [side_map(bx) for bx in a.boxes + b.boxes])
             for mask in canonical_subset_order(3):
                 va, vb = projection_volume(a, mask), projection_volume(b, mask)
                 assert projection_volume(union, mask) <= va + vb
@@ -128,43 +133,40 @@ class TestThicken:
 
 class TestDisjointOffset:
     def test_two_unit_squares(self):
-        body = disjoint_offset((unit_cube(2), unit_cube(2)))
+        body = disjoint_offset(2, [side_map(unit_cube(2))] * 2)
         assert projection_volume(body, 0b01) == 2
         assert projection_volume(body, 0b11) == 2
 
     def test_single_box_kept_in_place(self):
-        """A lone box keeps its side lengths and starts at 0 on every axis."""
-        assert disjoint_offset((box((2, 3), (4, Fraction(9, 2))),)).boxes == (
-            box((0, 1), (0, Fraction(1, 2))),
+        """A lone box keeps its side lengths and starts at 0 on every axis;
+        an axis its map leaves out is the point 0."""
+        assert disjoint_offset(3, [{1: Fraction(1), 3: Fraction(1, 2)}]).boxes == (
+            box((0, 1), (0, 0), (0, Fraction(1, 2))),
         )
 
     @settings(deadline=None)
-    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
-        st.lists(st.tuples(endpoints, st.one_of(st.just(Fraction(0)), sides)), min_size=n, max_size=n),
-        min_size=1, max_size=6)))
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.dictionaries(st.integers(1, n), st.one_of(st.just(Fraction(0)), sides), max_size=n),
+        min_size=1, max_size=6))))
     def test_axiswise_disjoint(self, drawn):
-        """Each box keeps its side lengths, each axis is laid out from 0
-        shortest first (ties in box order) with pairwise disjoint intervals,
-        and every projection volume is the sum of the boxes' own."""
-        boxes = tuple(Box(tuple((lo, lo + side) for lo, side in ivs)) for ivs in drawn)
-        n = boxes[0].n
-        body = disjoint_offset(boxes)
-        assert body.n == n and len(body.boxes) == len(boxes)
+        """Each box keeps its side lengths (an axis left out is a point),
+        each axis is laid out from 0 shortest first (ties in box order) with
+        pairwise disjoint intervals, and every projection volume is the sum
+        of the boxes' own, the products of their sides."""
+        n, maps = drawn
+        body = disjoint_offset(n, maps)
+        assert body.n == n and len(body.boxes) == len(maps)
         assert axiswise_disjoint(body)
         for axis in range(n):
             placed = [b.intervals[axis] for b in body.boxes]
-            assert [hi - lo for lo, hi in placed] == [ivs[axis][1] for ivs in drawn]
-            order = sorted(range(len(boxes)), key=lambda i: placed[i][0])
+            assert [hi - lo for lo, hi in placed] == [m.get(axis + 1, 0) for m in maps]
+            order = sorted(range(len(maps)), key=lambda i: placed[i][0])
             assert placed[order[0]][0] == 0
             keys = [(placed[i][1] - placed[i][0], i) for i in order]
             assert keys == sorted(keys)
         for mask in canonical_subset_order(n):
-            own = sum((projection_volume(BoxUnionBody(n, (b,)), mask) for b in boxes), Fraction(0))
+            own = sum(prod(m.get(a, 0) for a in elements(mask)) for m in maps)
             assert projection_volume(body, mask) == own
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            disjoint_offset((unit_cube(2), unit_cube(3)))
 
 
 class TestBodyFiles:

@@ -575,7 +575,11 @@ class TestUsageErrors:
         (["realize", "--vector", "v.json", "--out", "nodir/b.json"], False, 3),
         (["system", "--n", "2"], "reader", 3),
         (["system", "--n", "2"], "fd", 3),
-    ], ids=["directory-input", "missing-output-dir", "closed-stdout", "closed-fd1"])
+        (["--help"], "reader", 3),
+        (["--help"], "fd", 3),
+        (["member", "--help"], "reader", 3),
+    ], ids=["directory-input", "missing-output-dir", "closed-stdout", "closed-fd1",
+            "help-closed-stdout", "help-closed-fd1", "member-help-closed-stdout"])
     def test_io_failure_is_one_error_line(self, tmp_path, argv, stdout_closed, code):
         write(tmp_path, "v.json", ONES2)
         got, out, err = run_process(tmp_path, ["-m", "covercone", *argv], stdout_closed)
@@ -590,8 +594,9 @@ class TestUsageErrors:
         (["realize", "--vector", "v.json", "--out", "nodir/b.json"], "fd", 3),
         (["realize", "--vector", "v.json", "--out", "nodir/b.json"], "reused", 3),
         (["member", "--vector"], "fd", 2),
+        (["member", "--vector"], "reused", 2),
     ], ids=["missing-input-fd", "missing-input-reused", "missing-output-dir-fd", "missing-output-dir-reused",
-            "usage-error-fd"])
+            "usage-error-fd", "usage-error-reused"])
     def test_closed_stderr_keeps_the_exit_code_and_stdout_empty(self, tmp_path, argv, stderr_closed, code):
         """With fd 2 closed at start the error line (or argparse's usage) is
         dropped, not printed on stdout; with fd 2 reused for a read-only file
@@ -616,14 +621,16 @@ class TestUsageErrors:
 OUT3 = '{"n": 3, "entries": {"1": "1", "2": "1", "1,2": "3"}}'
 
 #: the ways out of a process: a success, a verdict of 1, argparse's two
-#: SystemExits, and a stdout whose reader closed before the process started
+#: SystemExits, and a stdout whose reader closed before the process started,
+#: under a command or under --help
 EXITS = pytest.mark.parametrize("argv, stdout_closed, code", [
     (["system", "--n", "2"], False, 0),
     (["member", "--vector", "out3.json"], False, 1),
     (["--help"], False, 0),
     (["frobnicate"], False, 2),
     (["system", "--n", "2"], "reader", 3),
-], ids=["success", "verdict", "help", "usage-error", "closed-stdout"])
+    (["--help"], "reader", 3),
+], ids=["success", "verdict", "help", "usage-error", "closed-stdout", "help-closed-stdout"])
 
 
 class TestEntryPoint:
