@@ -1,5 +1,6 @@
 """Bodies as finite unions of axis-aligned boxes; exact projection volumes.
 
+A box is its tuple of closed rational intervals (lo, hi), one per axis.
 Boxes may be degenerate (point extent) on some axes, so a box can live in a
 proper coordinate subspace.  All endpoints are exact rationals and every
 measure below is computed exactly.  This module reads, writes, places and
@@ -17,18 +18,12 @@ from typing import Mapping, NamedTuple, Sequence
 from .core import FormatError, elements, format_rational, load_object, parse_rational
 
 
-class Box(NamedTuple):
-    """Product of closed rational intervals, one per axis; lo == hi is allowed.
-    A plain record, like BoxUnionBody: read_body checks a body file's boxes."""
-
-    intervals: tuple[tuple[Fraction, Fraction], ...]
-
-
 class BoxUnionBody(NamedTuple):
-    """A nonempty union of n-dimensional boxes; checked only by read_body."""
+    """A nonempty union of n-dimensional boxes, each a tuple of n (lo, hi)
+    pairs with lo <= hi; checked only by read_body."""
 
     n: int
-    boxes: tuple[Box, ...]
+    boxes: tuple[tuple[tuple[Fraction, Fraction], ...], ...]
 
 
 def projection_volume(body: BoxUnionBody, mask: int) -> Fraction:
@@ -43,7 +38,7 @@ def projection_volume(body: BoxUnionBody, mask: int) -> Fraction:
     axes = elements(mask)
     rects = []
     for box in body.boxes:
-        iv = tuple(box.intervals[a - 1] for a in axes)
+        iv = tuple(box[a - 1] for a in axes)
         if all(lo < hi for lo, hi in iv):
             rects.append(iv)
     if not rects:
@@ -91,7 +86,7 @@ def disjoint_offset(n: int, sides: Sequence[Mapping[int, Fraction]]) -> BoxUnion
             placed[i] = (Fraction(start), start + lengths[i])
             start = floor(start + lengths[i]) + 1
         columns.append(placed)
-    return BoxUnionBody(n, tuple(Box(intervals) for intervals in zip(*columns)))
+    return BoxUnionBody(n, tuple(zip(*columns)))
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +100,7 @@ def write_body(body: BoxUnionBody) -> str:
                 {
                     "intervals": [
                         [format_rational(lo), format_rational(hi)]
-                        for lo, hi in box.intervals
+                        for lo, hi in box
                     ]
                 }
                 for box in body.boxes
@@ -135,5 +130,5 @@ def read_body(text: str) -> BoxUnionBody:
             if lo > hi:
                 raise FormatError(f"empty interval [{lo}, {hi}]")
             intervals.append((lo, hi))
-        boxes.append(Box(tuple(intervals)))
+        boxes.append(tuple(intervals))
     return BoxUnionBody(n, tuple(boxes))

@@ -7,10 +7,10 @@ internal failure (any RuntimeError: an enumeration or pivot budget ran out,
 `imply --emit-body` got a witness outside the cone (a partial `--kmax`), exp
 left the decimal exponent range, or a self-check failed; an OSError writing
 `--out`, `--emit-body` or stdout, or a stdout closed at start, also under
-`--help`); codes 2 and 3 print one `error: ...` line on stderr, or none when
-stderr is closed, except argparse's usage errors, which print a `usage:` line
-and then `covercone: error: ...`, or `covercone <cmd>: error: ...` for a
-command's options.
+`--help`, with or without PYTHONUNBUFFERED); codes 2 and 3 print one
+`error: ...` line on stderr, or none when stderr is closed, except argparse's
+usage errors, which print a `usage:` line and then `covercone: error: ...`,
+or `covercone <cmd>: error: ...` for a command's options.
 
 One table, COMMANDS, holds each command's handler, help line and options.
 parse_args reads a well-formed command line from it directly; argparse is
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import gc
 import importlib.util
+import io
 import json
 import os
 import sys
@@ -362,14 +363,20 @@ def main(argv=None) -> int:
     if closed:  # argparse would print --help on stderr instead
         sys.stdout = open(os.devnull, "w", encoding="utf-8")
     try:
+        # argparse prints --help into a buffer, and main writes it: unbuffered,
+        # 3.11's argparse would drop a failed write and 3.10's exit 2
+        stdout, sys.stdout = sys.stdout, io.StringIO()
         try:
             args = parse_args(argv)
         except OSError:  # Python 3.10's argparse lets a failed write of its usage out; 3.11 exits 2
             return 2
-        except SystemExit as exc:  # argparse printed --help (code 0) on stdout, or a usage error
+        except SystemExit as exc:  # argparse printed --help (code 0), or a usage error
             if exc.code or not closed:
-                sys.stdout.flush()  # a closed pipe fails --help here, as it fails a command's output
+                stdout.write(sys.stdout.getvalue())
+                stdout.flush()  # a closed pipe fails --help here, as it fails a command's output
                 raise
+        finally:
+            sys.stdout = stdout
         if closed:  # nothing runs, --help included
             raise OSError("stdout is closed")
         code = args.func(args)

@@ -17,8 +17,8 @@ from typing import Mapping, NamedTuple, Optional
 from . import covers, simplex
 from .core import ProjectionVector, canonical_subset_order, elements, format_rational, format_subset, subsets_of
 
-#: the default k <= |Y| system is proved complete up to here; n = 6 does not
-#: end in minutes and no complete generator list for it is known
+#: bounds only the generator-list commands: the default k <= |Y| system is
+#: proved complete up to here, and no complete list for n = 6 is known
 MAX_CONE_DIMENSION = 5
 
 

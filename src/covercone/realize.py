@@ -12,10 +12,11 @@ Each step is one LP over log values, cone.core_point: the log sides are a
 core point of the log targets on S and sum to the log target of S exactly;
 the step is infeasible exactly when no core point exists.  find_lambda runs
 the same LP on v itself, once per ground of two or more elements, and reads
-no generator list: the slacks decide whether v is outside, on the
+no generator list, so its bound on n is its own, MAX_REALIZE_DIMENSION, not
+the generator list's: the slacks decide whether v is outside, on the
 boundary or strictly inside, and only a strict v is realized.
-double_lambda and realize_vector trust strictness; the final check of
-every log projection volume against lambda*v is the arbiter.
+realize_vector trusts strictness; the final check of every log projection
+volume against lambda*v is the arbiter.
 
 The step LP only searches product-form solutions, z_A = prod of sides over
 A.  That loses nothing: such a z meets every cover constraint of the step
@@ -48,6 +49,9 @@ from .core import (
 )
 
 DEFAULT_LAMBDA_CAP = 1024
+#: find_lambda + projection_volume on 1/2 + modular take ~1 s at n = 7, ~3 s
+#: at n = 8 and ~13 s at n = 9, in-process
+MAX_REALIZE_DIMENSION = 8
 DEFAULT_TOLERANCE = Fraction(1, 10**6)
 
 
@@ -170,17 +174,19 @@ def realize_vector(v: ProjectionVector, lam) -> RealizationResult:
 
 
 def find_lambda(v: ProjectionVector, lambda_cap=DEFAULT_LAMBDA_CAP) -> RealizationResult:
-    """Realize v by double_lambda if it is strictly inside the cone.
+    """realize_vector(v, lam) at the first lam = 1, 2, 4, ... <= lambda_cap that
+    works, if v is strictly inside the cone.
 
     v is in the cone exactly when cone.core_point(Y, v) has no negative
     slack on any ground Y of two or more elements, and strictly inside
-    exactly when every such slack is positive.  Raises ValueError unless
-    v.n <= cone.MAX_CONE_DIMENSION, NotInConeError naming the first ground
-    where v is outside, else BoundaryError naming the first ground with a
-    zero slack, and whatever double_lambda raises.
+    exactly when every such slack is positive.  Raises, in this order,
+    ValueError unless v.n <= MAX_REALIZE_DIMENSION, NotInConeError naming
+    the first ground where v is outside, BoundaryError naming the first
+    ground with a zero slack, ValueError unless lambda_cap >= 1, and
+    InconclusiveError (never a non-realizability claim) past lambda_cap.
     """
-    if v.n > cone.MAX_CONE_DIMENSION:
-        raise ValueError(f"cone systems are limited to 1 <= n <= {cone.MAX_CONE_DIMENSION}")
+    if v.n > MAX_REALIZE_DIMENSION:
+        raise ValueError(f"realize is limited to 1 <= n <= {MAX_REALIZE_DIMENSION}")
     tight = 0  # the first ground with a zero slack; no ground is 0
     for ground in canonical_subset_order(v.n)[v.n:]:  # past the singletons
         found = cone.core_point(ground, v.entries)
@@ -189,16 +195,6 @@ def find_lambda(v: ProjectionVector, lambda_cap=DEFAULT_LAMBDA_CAP) -> Realizati
         tight = tight or (ground if found[0] == 0 else 0)
     if tight:
         raise BoundaryError(f"vector is on the boundary of the cone: zero slack on {{{format_subset(tight)}}}")
-    return double_lambda(v, lambda_cap)
-
-
-def double_lambda(w: ProjectionVector, lambda_cap=DEFAULT_LAMBDA_CAP) -> RealizationResult:
-    """realize_vector(w, lam) at the first lam = 1, 2, 4, ... <= lambda_cap that works.
-
-    Like realize_vector it assumes, unchecked, that w is strictly inside the
-    cone; a w outside gets no body at any lam.  Raises ValueError unless
-    lambda_cap >= 1, and InconclusiveError (never a non-realizability claim).
-    """
     lambda_cap = Fraction(lambda_cap)
     if lambda_cap < 1:
         raise ValueError("lambda_cap must be at least 1")
@@ -206,7 +202,7 @@ def double_lambda(w: ProjectionVector, lambda_cap=DEFAULT_LAMBDA_CAP) -> Realiza
     last: Optional[BoxSystemInfeasible] = None
     while lam <= lambda_cap:
         try:
-            return realize_vector(w, lam)
+            return realize_vector(v, lam)
         except BoxSystemInfeasible as exc:
             last = exc
             lam *= 2

@@ -12,7 +12,7 @@ from itertools import combinations, product
 import numpy as np
 from hypothesis import settings
 
-from covercone.boxgeom import Box, BoxUnionBody
+from covercone.boxgeom import BoxUnionBody
 from covercone.core import ProjectionVector, elements
 
 # CI runs (GitHub Actions sets CI) draw the same examples every time and keep
@@ -30,7 +30,7 @@ def inclusion_exclusion_volume(body: BoxUnionBody, mask: int) -> Fraction:
     axes = [a - 1 for a in elements(mask)]
     rects = []
     for box in body.boxes:
-        iv = [box.intervals[a] for a in axes]
+        iv = [box[a] for a in axes]
         rects.append(iv)
     total = Fraction(0)
     for r in range(1, len(rects) + 1):
@@ -118,16 +118,16 @@ def thicken(body: BoxUnionBody, eps: Fraction) -> BoxUnionBody:
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    top = max(hi for box in body.boxes for _, hi in box.intervals)
+    top = max(hi for box in body.boxes for _, hi in box)
     base = top + 1
-    cube = Box(tuple((base, base + eps) for _ in range(body.n)))
+    cube = tuple((base, base + eps) for _ in range(body.n))
     return BoxUnionBody(body.n, body.boxes + (cube,))
 
 
 def axiswise_disjoint(body: BoxUnionBody) -> bool:
     """True when on every axis the boxes' intervals are pairwise disjoint."""
     for axis in range(body.n):
-        spans = sorted(box.intervals[axis] for box in body.boxes)
+        spans = sorted(box[axis] for box in body.boxes)
         for (_, hi), (lo, _) in zip(spans, spans[1:]):
             if hi >= lo:
                 return False
@@ -144,7 +144,26 @@ def shift(v: ProjectionVector, eps: Fraction) -> ProjectionVector:
     return ProjectionVector(v.n, {m: x + eps for m, x in v.entries.items()})
 
 
-def random_box(rng, n: int, denom: int = 8, hi: int = 16, degenerate_prob: float = 0.15) -> Box:
+def modular_plus_one(weights):
+    """x_A = 1 + sum of weights over A: strict on every nontrivial generator."""
+    n = len(weights)
+    return ProjectionVector.from_entries(
+        n, {m: 1 + sum(w for i, w in enumerate(weights) if m >> i & 1) for m in range(1, 1 << n)}
+    )
+
+
+#: the weights of the 1/2 + modular test vectors, one per element up to n = 8
+MODULAR_WEIGHTS = (Fraction(3, 4), Fraction(-1, 2), Fraction(1), Fraction(-5, 4),
+                   Fraction(1, 3), Fraction(2, 5), Fraction(-1, 7), Fraction(2, 3))
+
+
+def half_plus_modular(n: int) -> ProjectionVector:
+    """x_A = 1/2 + the first n MODULAR_WEIGHTS summed over A: a modular vector,
+    tight on every generator, shifted strictly inside by 1/2."""
+    return shift(modular_plus_one(MODULAR_WEIGHTS[:n]), Fraction(-1, 2))
+
+
+def random_box(rng, n: int, denom: int = 8, hi: int = 16, degenerate_prob: float = 0.15) -> tuple:
     intervals = []
     for _ in range(n):
         a = Fraction(rng.randint(0, hi * denom), denom)
@@ -154,7 +173,7 @@ def random_box(rng, n: int, denom: int = 8, hi: int = 16, degenerate_prob: float
             b = Fraction(rng.randint(0, hi * denom), denom)
             lo, hi_ = min(a, b), max(a, b)
             intervals.append((lo, hi_))
-    return Box(tuple(intervals))
+    return tuple(intervals)
 
 
 def random_body(rng, n: int, max_boxes: int, **kw) -> BoxUnionBody:

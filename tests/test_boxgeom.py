@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import axiswise_disjoint, inclusion_exclusion_volume, random_body, thicken
 from covercone.boxgeom import (
-    Box,
     BoxUnionBody,
     disjoint_offset,
     projection_volume,
@@ -19,7 +18,7 @@ from covercone.core import FormatError, canonical_subset_order, elements
 
 
 def box(*pairs):
-    return Box(tuple((Fraction(lo), Fraction(hi)) for lo, hi in pairs))
+    return tuple((Fraction(lo), Fraction(hi)) for lo, hi in pairs)
 
 
 def unit_cube(n):
@@ -28,7 +27,7 @@ def unit_cube(n):
 
 def side_map(bx):
     """axis (1-based) -> side length, as disjoint_offset takes a box."""
-    return {axis: hi - lo for axis, (lo, hi) in enumerate(bx.intervals, 1)}
+    return {axis: hi - lo for axis, (lo, hi) in enumerate(bx, 1)}
 
 
 # mixed denominators; sides may also be exactly 0
@@ -104,7 +103,7 @@ class TestProjectionVolume:
             scaled = BoxUnionBody(
                 3,
                 tuple(
-                    Box(((b.intervals[0][0] * s, b.intervals[0][1] * s),) + b.intervals[1:])
+                    ((b[0][0] * s, b[0][1] * s),) + b[1:]
                     for b in body.boxes
                 ),
             )
@@ -158,7 +157,7 @@ class TestDisjointOffset:
         assert body.n == n and len(body.boxes) == len(maps)
         assert axiswise_disjoint(body)
         for axis in range(n):
-            placed = [b.intervals[axis] for b in body.boxes]
+            placed = [b[axis] for b in body.boxes]
             assert [hi - lo for lo, hi in placed] == [m.get(axis + 1, 0) for m in maps]
             order = sorted(range(len(maps)), key=lambda i: placed[i][0])
             assert placed[order[0]][0] == 0

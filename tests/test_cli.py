@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -15,7 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import covercone
-from covercone.boxgeom import read_body, write_body, BoxUnionBody, Box
+from conftest import half_plus_modular
+from covercone.boxgeom import read_body, write_body, BoxUnionBody
 from covercone import cli
 from covercone.cli import build_parser, main
 from covercone.cone import build_bt_system
@@ -272,10 +274,23 @@ class TestRealizeCommand:
             main(["realize", "--help"])
         assert f"(default: {realize.DEFAULT_LAMBDA_CAP})" in " ".join(capsys.readouterr().out.split())
 
+    @pytest.mark.parametrize("n, seconds", [(6, 10), (7, 20), (8, 40)], ids=["n6", "n7", "n8"])
+    def test_half_plus_modular_past_the_generator_list(self, capsys, tmp_path, n, seconds):
+        """realize reads no generator list, so it builds past the list's
+        n <= 5: 1/2 + modular at n = 6, 7 and 8 realizes at lambda 16, and
+        project measures the body, the two within `seconds`."""
+        start = time.perf_counter()
+        vec = write(tmp_path, "v.json", write_vector(half_plus_modular(n)))
+        body = str(tmp_path / "body.json")
+        code, out, _ = run(capsys, "realize", "--vector", vec, "--out", body)
+        assert (code, json.loads(out)["lambda"]) == (0, "16")
+        assert run(capsys, "project", "--body", body, "--out", str(tmp_path / "back.json"))[0] == 0
+        assert time.perf_counter() - start < seconds
+
 
 class TestProjectCommand:
     def test_positive_body(self, capsys, tmp_path):
-        body = BoxUnionBody(2, (Box(((F(0), F(1)), (F(0), F(2)))),))
+        body = BoxUnionBody(2, (((F(0), F(1)), (F(0), F(2))),))
         body_path = write(tmp_path, "body.json", write_body(body))
         out_path = str(tmp_path / "vec.json")
         code, out, _ = run(capsys, "project", "--body", body_path, "--out", out_path)
@@ -287,7 +302,7 @@ class TestProjectCommand:
         assert vector[0b01] == 0
 
     def test_zero_projection_exits_one(self, capsys, tmp_path):
-        body = BoxUnionBody(2, (Box(((F(0), F(5)), (F(0), F(0)))),))
+        body = BoxUnionBody(2, (((F(0), F(5)), (F(0), F(0))),))
         body_path = write(tmp_path, "seg.json", write_body(body))
         out_path = tmp_path / "vec.json"
         code, out, err = run(capsys, "project", "--body", body_path, "--out", str(out_path))
@@ -309,22 +324,22 @@ class TestProjectCommand:
         return json.loads(out)["volumes"], read_vector(out_path.read_text(encoding="utf-8"))
 
     def test_unit_cube_projects_to_the_zero_vector(self, capsys, tmp_path):
-        cube = BoxUnionBody(3, (Box(((F(0), F(1)),) * 3),))
+        cube = BoxUnionBody(3, (((F(0), F(1)),) * 3,))
         volumes, vector = self.project(capsys, tmp_path, cube)
         assert set(volumes.values()) == {"1"}
         assert vector == ProjectionVector.from_entries(3, {})
 
     def test_two_box_logs(self, capsys, tmp_path):
-        two_box = BoxUnionBody(2, (Box(((F(0), F(1)), (F(0), F(1)))),
-                                   Box(((F(0), F(2)), (F(0), F(1, 2))))))
+        two_box = BoxUnionBody(2, (((F(0), F(1)), (F(0), F(1))),
+                                   ((F(0), F(2)), (F(0), F(1, 2)))))
         volumes, vector = self.project(capsys, tmp_path, two_box)
         assert volumes == {"1": "2", "2": "1", "1,2": "3/2"}
         assert vector == ProjectionVector(2, {0b01: log_fraction(F(2)), 0b10: F(0),
                                               0b11: log_fraction(F(3, 2))})
 
     def test_axis_scaling_shifts_logs(self, capsys, tmp_path):
-        _, p = self.project(capsys, tmp_path, BoxUnionBody(2, (Box(((F(0), F(3)), (F(0), F(1)))),)))
-        _, q = self.project(capsys, tmp_path, BoxUnionBody(2, (Box(((F(0), F(6)), (F(0), F(1)))),)))
+        _, p = self.project(capsys, tmp_path, BoxUnionBody(2, (((F(0), F(3)), (F(0), F(1))),)))
+        _, q = self.project(capsys, tmp_path, BoxUnionBody(2, (((F(0), F(6)), (F(0), F(1))),)))
         log2 = log_fraction(F(2))
         for mask in canonical_subset_order(2):
             expected = p[mask] + (log2 if mask & 0b01 else 0)
@@ -332,7 +347,7 @@ class TestProjectCommand:
 
     def test_project_then_member_pipeline(self, capsys, tmp_path):
         body = BoxUnionBody(
-            2, (Box(((F(0), F(1)), (F(0), F(1)))), Box(((F(2), F(4)), (F(2), F(3)))))
+            2, (((F(0), F(1)), (F(0), F(1))), ((F(2), F(4)), (F(2), F(3))))
         )
         body_path = write(tmp_path, "b.json", write_body(body))
         vec_path = str(tmp_path / "v.json")
@@ -393,16 +408,20 @@ class TestShearerCommand:
         assert "coverage" in err
 
 
-def run_process(tmp_path, argv, stdout_closed, stderr_closed=False):
+def run_process(tmp_path, argv, stdout_closed, stderr_closed=False, unbuffered=False):
     """`python ARGV` in tmp_path, as (exit code, stdout, stderr); stdout is
     read after exit, so it must fit in the pipe.  stdout_closed is False,
     "reader" (the pipe's reader is closed before the child starts, so every
     write fails) or "fd" (the child starts with fd 1 closed).  stderr_closed
     is False, "fd" (the child starts with fd 2 closed) or "reused" (fd 2 is
     open read-only on /dev/null, as a launcher that closed it and then opened
-    a file leaves it); stderr then reads ""."""
+    a file leaves it); stderr then reads "".  The child has PYTHONUNBUFFERED=1
+    if `unbuffered`, else no PYTHONUNBUFFERED, so buffered output is still
+    pending at exit."""
     env = dict(os.environ, PYTHONPATH=str(Path(covercone.__file__).parent.parent))
-    env.pop("PYTHONUNBUFFERED", None)  # buffered output is still pending at exit
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
 
     def close_fds():
         if stdout_closed == "fd":
@@ -440,17 +459,22 @@ class TestUsageErrors:
         assert code == 2
         assert "error" in err
 
-    @pytest.mark.parametrize("argv", [["witness", "--n", "6"], ["system", "--n", "6"],
-                                      ["realize", "--vector", "v6.json", "--out", "b.json"]],
-                             ids=["witness", "system", "realize"])
+    @pytest.mark.parametrize("argv", [["witness", "--n", "6"], ["system", "--n", "6"]],
+                             ids=["witness", "system"])
     def test_cone_dimension_six_refused(self, tmp_path, argv):
         env = dict(os.environ, PYTHONPATH=str(Path(covercone.__file__).parent.parent))
-        write(tmp_path, "v6.json", json.dumps({"n": 6, "entries": {"1,2,3,4,5,6": "1"}}))
         proc = subprocess.run([sys.executable, "-m", "covercone", *argv], cwd=tmp_path,
                               capture_output=True, text=True, env=env, timeout=10)
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == "error: cone systems are limited to 1 <= n <= 5\n"
+
+    def test_realize_dimension_nine_refused(self, tmp_path):
+        """realize's bound is its own, 8, not the generator list's 5."""
+        write(tmp_path, "v9.json", json.dumps({"n": 9, "entries": {"1,2,3,4,5,6,7,8,9": "1"}}))
+        argv = ["-m", "covercone", "realize", "--vector", "v9.json", "--out", "b.json"]
+        assert run_process(tmp_path, argv, False) == (2, "", "error: realize is limited to 1 <= n <= 8\n")
+        assert not (tmp_path / "b.json").exists()
 
     @pytest.mark.parametrize(
         "argv, text",
@@ -570,19 +594,21 @@ class TestUsageErrors:
         assert detail in proc.stderr
         assert not (tmp_path / "b.json").exists()
 
-    @pytest.mark.parametrize("argv, stdout_closed, code", [
-        (["member", "--vector", "."], False, 2),
-        (["realize", "--vector", "v.json", "--out", "nodir/b.json"], False, 3),
-        (["system", "--n", "2"], "reader", 3),
-        (["system", "--n", "2"], "fd", 3),
-        (["--help"], "reader", 3),
-        (["--help"], "fd", 3),
-        (["member", "--help"], "reader", 3),
+    @pytest.mark.parametrize("argv, stdout_closed, unbuffered, code", [
+        (["member", "--vector", "."], False, False, 2),
+        (["realize", "--vector", "v.json", "--out", "nodir/b.json"], False, False, 3),
+        (["system", "--n", "2"], "reader", False, 3),
+        (["system", "--n", "2"], "fd", False, 3),
+        (["--help"], "reader", False, 3),
+        (["--help"], "reader", True, 3),
+        (["--help"], "fd", False, 3),
+        (["member", "--help"], "reader", False, 3),
     ], ids=["directory-input", "missing-output-dir", "closed-stdout", "closed-fd1",
-            "help-closed-stdout", "help-closed-fd1", "member-help-closed-stdout"])
-    def test_io_failure_is_one_error_line(self, tmp_path, argv, stdout_closed, code):
+            "help-closed-stdout", "help-closed-stdout-unbuffered", "help-closed-fd1",
+            "member-help-closed-stdout"])
+    def test_io_failure_is_one_error_line(self, tmp_path, argv, stdout_closed, unbuffered, code):
         write(tmp_path, "v.json", ONES2)
-        got, out, err = run_process(tmp_path, ["-m", "covercone", *argv], stdout_closed)
+        got, out, err = run_process(tmp_path, ["-m", "covercone", *argv], stdout_closed, unbuffered=unbuffered)
         assert (got, out) == (code, "")
         assert err.startswith("error: ")
         assert err.count("\n") == 1

@@ -175,7 +175,7 @@ class TestCorePoint:
         violated generator, refuses v as boundary exactly when it finds a
         tight one, and otherwise hands v on as given."""
         handed = []
-        monkeypatch.setattr(realize, "double_lambda", lambda w, cap: handed.append(w))
+        monkeypatch.setattr(realize, "realize_vector", lambda w, lam: handed.append(w))
         system = build_bt_system(n)
         rng = random.Random(700 + n)
         outcomes = {"outside": 0, "tight": 0, "strict": 0}

@@ -197,10 +197,10 @@ class TestViolatingBody:
 
         for name in ("build_bt_system", "membership", "margin", "coefficients", "format_inequality"):
             assert not hasattr(realize, name), name
-        for name in ("double_lambda", "RealizationResult"):
+        for name in ("find_lambda", "RealizationResult"):
             assert not hasattr(farkas, name), name
         for module in [m for key, m in sys.modules.items() if key.startswith("covercone")]:
-            for name in ("exp_fraction", "log_fraction", "double_lambda"):
+            for name in ("exp_fraction", "log_fraction", "find_lambda"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, refuse)
         monkeypatch.setattr(cone, "margin", counting)
@@ -219,7 +219,7 @@ class TestViolatingBody:
         assert len(report.body.boxes) == (1 << n) - 1 and axiswise_disjoint(report.body)
         volumes = {}
         for mask in canonical_subset_order(n):
-            vol = sum((prod(box.intervals[a - 1][1] - box.intervals[a - 1][0] for a in elements(mask))
+            vol = sum((prod(box[a - 1][1] - box[a - 1][0] for a in elements(mask))
                        for box in report.body.boxes), F(0))
             assert vol == projection_volume(report.body, mask)
             e, size = floor(lam * x[mask]), mask.bit_count()

@@ -11,7 +11,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from covercone.boxgeom import Box, BoxUnionBody, read_body, write_body
+from covercone.boxgeom import BoxUnionBody, read_body, write_body
 from covercone.core import FormatError, ProjectionVector, read_vector, write_vector
 from covercone.covers import UniformCover, cover_from_json, cover_to_obj
 from covercone.farkas import LinearInequality, read_inequality, write_inequality
@@ -47,7 +47,7 @@ def inequalities():
 def bodies(draw):
     n = draw(dims)
     interval = st.tuples(rationals, rationals).map(lambda p: (min(p), max(p)))
-    box = st.tuples(*[interval] * n).map(Box)
+    box = st.tuples(*[interval] * n)
     return BoxUnionBody(n, tuple(draw(st.lists(box, min_size=1, max_size=4))))
 
 

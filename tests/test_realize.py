@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import axiswise_disjoint, sample_bt3_vector, shift
+from conftest import axiswise_disjoint, half_plus_modular, modular_plus_one, sample_bt3_vector, shift
 from covercone import cone, realize, simplex
 from covercone.boxgeom import projection_volume, read_body, write_body
 from covercone.cli import main
@@ -27,7 +27,6 @@ from covercone.realize import (
     BoxSystemInfeasible,
     InconclusiveError,
     NotInConeError,
-    double_lambda,
     find_lambda,
     realize_vector,
     solve_box_system,
@@ -276,14 +275,6 @@ class TestRealizeVector:
             realize_vector(ONES2, 0)
 
 
-def modular_plus_one(weights):
-    """x_A = 1 + sum of weights over A: strict on every nontrivial generator."""
-    n = len(weights)
-    return ProjectionVector.from_entries(
-        n, {m: 1 + sum(w for i, w in enumerate(weights) if m >> i & 1) for m in range(1, 1 << n)}
-    )
-
-
 #: name -> (vector, lambda, sha256 of the body find_lambda builds for it)
 PINNED_BODIES = {
     # the theorem 9 vector is tight, so find_lambda refuses it; 1/4 more is strict
@@ -407,7 +398,7 @@ class TestBodySize:
     def assert_endpoints_bounded(body):
         """Every endpoint has at most M + 128 bits, M the largest magnitude
         in bits of a nonzero endpoint."""
-        ends = [x for box in body.boxes for iv in box.intervals for x in iv]
+        ends = [x for box in body.boxes for iv in box for x in iv]
         magnitude = max(abs(q.numerator.bit_length() - q.denominator.bit_length()) for q in ends if q)
         assert max(map(endpoint_bits, ends)) <= magnitude + 128
 
@@ -416,7 +407,7 @@ class TestBodySize:
         realizes at lambda = 4 * 2^j, with endpoints bounded as above."""
         v = theorem9_vector(4)
         for j in range(9):
-            result = double_lambda(shift(v, F(1, 2**j)))
+            result = find_lambda(shift(v, F(1, 2**j)))
             assert result.lam == 4 * 2**j
             self.assert_endpoints_bounded(result.body)
 
@@ -425,8 +416,7 @@ class TestBodySize:
         stays under the interpreter's 4300-digit limit, so write_body prints
         it and read_body reads the same body back, all within 20 s."""
         start = time.perf_counter()
-        weights = (F(3, 4), F(-1, 2), F(1), F(-5, 4), F(1, 3), F(2, 5), F(-1, 7), F(2, 3))
-        result = double_lambda(shift(modular_plus_one(weights[:n]), F(-1, 2)))
+        result = find_lambda(half_plus_modular(n))
         assert result.lam == lam
         self.assert_endpoints_bounded(result.body)
         assert read_body(write_body(result.body)) == result.body
@@ -459,7 +449,7 @@ class TestBuiltRecords:
     @pytest.mark.parametrize("name", sorted(PINNED_BODIES))
     def test_pinned_bodies(self, tmp_path, name):
         v, _, _ = PINNED_BODIES[name]
-        result = double_lambda(v)
+        result = find_lambda(v)
         self.assert_checked(tmp_path, v, result.body)
 
     def test_guess_body(self, tmp_path):
@@ -471,6 +461,6 @@ class TestBuiltRecords:
         self.assert_checked(tmp_path, witness, report.body)
 
     def test_half_plus_modular_n5_body(self, tmp_path):
-        w = shift(modular_plus_one((F(3, 4), F(-1, 2), F(1), F(-5, 4), F(1, 3))), F(-1, 2))
-        result = double_lambda(w)
+        w = half_plus_modular(5)
+        result = find_lambda(w)
         self.assert_checked(tmp_path, w, result.body)

@@ -4,21 +4,21 @@ from fractions import Fraction
 
 import pytest
 
-from covercone.boxgeom import Box, BoxUnionBody
+from covercone.boxgeom import BoxUnionBody
 from covercone.cone import build_bt_system, membership
 from covercone.core import ProjectionVector
 from covercone.covers import UniformCover
 from covercone.farkas import FarkasCertificate, LinearInequality, SeparatingWitness, ViolationReport
-from covercone.realize import double_lambda
+from covercone.realize import find_lambda
 from covercone.simplex import solve_equality_lp
 from covercone.witness import SetFamily, analyze_witness, shearer_check, theorem9_vector
 
 
 def _realization():
-    return double_lambda(ProjectionVector.from_entries(2, {1: 1, 2: 1, 3: 1}))
+    return find_lambda(ProjectionVector.from_entries(2, {1: 1, 2: 1, 3: 1}))
 
 
-BODY = BoxUnionBody(1, (Box(((Fraction(0), Fraction(1)),)),))
+BODY = BoxUnionBody(1, (((Fraction(0), Fraction(1)),),))
 
 RECORDS = {
     "ProjectionVector": (lambda: ProjectionVector.from_entries(2, {}), "entries"),
@@ -29,7 +29,6 @@ RECORDS = {
     "FarkasCertificate": (lambda: FarkasCertificate({0: Fraction(1)}), "weights"),
     "SeparatingWitness": (lambda: SeparatingWitness(ProjectionVector.from_entries(2, {})), "vector"),
     "ViolationReport": (lambda: ViolationReport(1, BODY, 1, Fraction(1), Fraction(2)), "lhs_product"),
-    "Box": (lambda: BODY.boxes[0], "intervals"),
     "BoxUnionBody": (lambda: BODY, "boxes"),
     "BoxSystem": (lambda: _realization().steps[0], "sides"),
     "RealizationResult": (_realization, "lam"),
