@@ -363,8 +363,8 @@ def main(argv=None) -> int:
     if closed:  # argparse would print --help on stderr instead
         sys.stdout = open(os.devnull, "w", encoding="utf-8")
     try:
-        # argparse prints --help into a buffer, and main writes it: unbuffered,
-        # 3.11's argparse would drop a failed write and 3.10's exit 2
+        # argparse prints --help into a buffer that main writes, so a failed
+        # write fails here: unbuffered, 3.11's argparse drops it, 3.10's exits 2
         stdout, sys.stdout = sys.stdout, io.StringIO()
         try:
             args = parse_args(argv)
