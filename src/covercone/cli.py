@@ -116,7 +116,7 @@ def cmd_imply(args) -> int:
         _print({
             "inequality": inequality,
             "implied": True,
-            "certificate": farkas.certificate_to_obj(system, result),
+            "certificate": farkas.certificate_to_obj(result),
         })
         return 0
     out = {
@@ -143,17 +143,12 @@ def cmd_imply(args) -> int:
 def cmd_realize(args) -> int:
     v = read_vector(_read_text(args.vector))
     cap = realize.DEFAULT_LAMBDA_CAP if args.lambda_cap is None else parse_rational(args.lambda_cap)
-    try:
-        result = realize.find_lambda(v, cap)
-    except realize.NotInConeError as exc:
-        _print({"realized": False, "reason": "not-in-cone", "detail": str(exc)})
-        return 1
-    except realize.BoundaryError as exc:
-        _print({"realized": False, "reason": "boundary", "detail": str(exc)})
-        return 1
-    except realize.InconclusiveError as exc:
-        _print({"realized": False, "reason": "inconclusive", "detail": str(exc),
-                "lambda_cap": format_rational(cap)})
+    result = realize.find_lambda(v, cap)
+    if isinstance(result, realize.Refusal):
+        refusal = {"realized": False, **result._asdict()}
+        if result.reason == "inconclusive":
+            refusal["lambda_cap"] = format_rational(cap)
+        _print(refusal)
         return 1
     Path(args.out).write_text(boxgeom.write_body(result.body), encoding="utf-8")
     report = {

@@ -57,9 +57,10 @@ class LinearInequality(NamedTuple):
 
 
 class FarkasCertificate(NamedTuple):
-    """Nonnegative weights on generator indices reconstructing the target."""
+    """Positive weights on generators reconstructing the target, each keyed
+    by its cover, in generator order."""
 
-    weights: dict[int, Fraction]
+    weights: dict[covers.UniformCover, Fraction]
 
 
 class SeparatingWitness(NamedTuple):
@@ -91,10 +92,10 @@ def check_implication(system: cone.ConeSystem, ineq: LinearInequality) -> Union[
     res = simplex.solve_equality_lp(rows, target, [0] * len(generators))
 
     if res.status == simplex.OPTIMAL:
-        weights = {j: w for j, w in enumerate(res.x) if w != 0}
+        weights = {g: w for g, w in zip(generators, res.x) if w != 0}
         recon = [Fraction(0)] * len(order)
-        for j, w in weights.items():
-            for mask, c in cone.coefficients(generators[j]).items():
+        for g, w in weights.items():
+            for mask, c in cone.coefficients(g).items():
                 recon[index[mask]] += w * c
         if recon != target:
             raise RuntimeError("certificate failed exact reconstruction")
@@ -194,11 +195,6 @@ def write_inequality(ineq: LinearInequality) -> str:
     )
 
 
-def certificate_to_obj(system: cone.ConeSystem, cert: FarkasCertificate) -> list[dict]:
-    """(ground, parts, k, weight) tuples in generator order."""
-    out = []
-    for j in sorted(cert.weights):
-        entry = covers.cover_to_obj(system.generators[j])
-        entry["weight"] = format_rational(cert.weights[j])
-        out.append(entry)
-    return out
+def certificate_to_obj(cert: FarkasCertificate) -> list[dict]:
+    """(ground, k, parts, weight) objects in generator order."""
+    return [{**covers.cover_to_obj(g), "weight": format_rational(w)} for g, w in cert.weights.items()]

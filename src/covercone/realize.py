@@ -5,8 +5,13 @@ some multiple lambda*v is the log projection vector of a finite union of
 boxes.  The construction walks the nonempty subsets S of [n] from largest to
 smallest; at each step it finds the |S| sidelengths of a box living in
 Span(S), subtracts that box's projection volumes from the running targets,
-and finally places all boxes disjointly.  lambda is found by doubling;
-failure at the cap is inconclusive, never a non-realizability claim.
+and finally places all boxes disjointly.  lambda is found by doubling.
+
+A verdict is a returned value and an exception is a failure: find_lambda
+returns a RealizationResult, or a Refusal whose reason is "not-in-cone",
+"boundary" or "inconclusive" (the cap was reached; never a
+non-realizability claim).  It raises ValueError for a bad n or cap, and
+RuntimeError when a step or the final check fails.
 
 Each step is one LP over log values, cone.core_point: the log sides are a
 core point of the log targets on S and sum to the log target of S exactly;
@@ -35,7 +40,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import prod
-from typing import Mapping, NamedTuple, Optional
+from typing import Mapping, NamedTuple, Union
 
 from . import boxgeom, cone
 from .core import (
@@ -55,12 +60,15 @@ MAX_REALIZE_DIMENSION = 8
 DEFAULT_TOLERANCE = Fraction(1, 10**6)
 
 
-class NotInConeError(ValueError):
-    """The vector is outside the cone, so the operation is undefined."""
+class Refusal(NamedTuple):
+    """find_lambda's verdict on a vector it did not realize.
 
+    reason is "not-in-cone", "boundary" or "inconclusive"; detail names the
+    ground, or the cap and the last failed ground.
+    """
 
-class BoundaryError(ValueError):
-    """The vector has a zero slack on some ground, so it is not strictly inside."""
+    reason: str
+    detail: str
 
 
 class BoxSystemInfeasible(Exception):
@@ -68,16 +76,6 @@ class BoxSystemInfeasible(Exception):
 
     def __init__(self, ground: int):
         super().__init__(f"box system for ground {{{format_subset(ground)}}} is infeasible")
-
-
-class InconclusiveError(RuntimeError):
-    """The doubling search hit the cap; realizability remains undecided."""
-
-    def __init__(self, lambda_cap: Fraction, last: Optional[BoxSystemInfeasible]):
-        super().__init__(
-            f"no realization found with lambda <= {lambda_cap}"
-            + (f" (last failure: {last})" if last else "")
-        )
 
 
 class BoxSystem(NamedTuple):
@@ -95,8 +93,6 @@ class BoxSystem(NamedTuple):
 class RealizationResult(NamedTuple):
     lam: Fraction
     body: boxgeom.BoxUnionBody
-    #: the body's exact projection volume |T_A| for each nonempty A
-    volumes: dict[int, Fraction]
     steps: tuple[BoxSystem, ...]
     #: per-subset |log |T_A|  -  lam * v_A|, v the vector realized
     residual_report: dict[int, Fraction]
@@ -165,25 +161,27 @@ def realize_vector(v: ProjectionVector, lam) -> RealizationResult:
             targets[a] -= bs.z[a]
 
     body = boxgeom.disjoint_offset(v.n, [step.sides for step in steps])
-    volumes = {a: boxgeom.projection_volume(body, a) for a in canonical_subset_order(v.n)}
-    report = {a: abs(log_fraction(vol) - lam * v[a]) for a, vol in volumes.items()}
+    report = {a: abs(log_fraction(boxgeom.projection_volume(body, a)) - lam * v[a])
+              for a in canonical_subset_order(v.n)}
     max_gap = max(report.values())
     if max_gap > DEFAULT_TOLERANCE:
         raise RuntimeError(f"realization drifted beyond tolerance: max gap {float(max_gap):.3g}")
-    return RealizationResult(lam, body, volumes, tuple(steps), report)
+    return RealizationResult(lam, body, tuple(steps), report)
 
 
-def find_lambda(v: ProjectionVector, lambda_cap=DEFAULT_LAMBDA_CAP) -> RealizationResult:
+def find_lambda(v: ProjectionVector, lambda_cap=DEFAULT_LAMBDA_CAP) -> Union[RealizationResult, Refusal]:
     """realize_vector(v, lam) at the first lam = 1, 2, 4, ... <= lambda_cap that
     works, if v is strictly inside the cone.
 
     v is in the cone exactly when cone.core_point(Y, v) has no negative
     slack on any ground Y of two or more elements, and strictly inside
-    exactly when every such slack is positive.  Raises, in this order,
-    ValueError unless v.n <= MAX_REALIZE_DIMENSION, NotInConeError naming
-    the first ground where v is outside, BoundaryError naming the first
-    ground with a zero slack, ValueError unless lambda_cap >= 1, and
-    InconclusiveError (never a non-realizability claim) past lambda_cap.
+    exactly when every such slack is positive.  In this order: raises
+    ValueError unless v.n <= MAX_REALIZE_DIMENSION; returns
+    Refusal("not-in-cone", ...) naming the first ground where v is outside,
+    then Refusal("boundary", ...) naming the first ground with a zero
+    slack; raises ValueError unless lambda_cap >= 1; returns the first
+    RealizationResult, or Refusal("inconclusive", ...) past lambda_cap.
+    RuntimeError from realize_vector's checks is not caught.
     """
     if v.n > MAX_REALIZE_DIMENSION:
         raise ValueError(f"realize is limited to 1 <= n <= {MAX_REALIZE_DIMENSION}")
@@ -191,19 +189,18 @@ def find_lambda(v: ProjectionVector, lambda_cap=DEFAULT_LAMBDA_CAP) -> Realizati
     for ground in canonical_subset_order(v.n)[v.n:]:  # past the singletons
         found = cone.core_point(ground, v.entries)
         if found is None:
-            raise NotInConeError(f"vector violates a uniform-cover inequality on {{{format_subset(ground)}}}")
+            return Refusal("not-in-cone", f"vector violates a uniform-cover inequality on {{{format_subset(ground)}}}")
         tight = tight or (ground if found[0] == 0 else 0)
     if tight:
-        raise BoundaryError(f"vector is on the boundary of the cone: zero slack on {{{format_subset(tight)}}}")
+        return Refusal("boundary", f"vector is on the boundary of the cone: zero slack on {{{format_subset(tight)}}}")
     lambda_cap = Fraction(lambda_cap)
     if lambda_cap < 1:
         raise ValueError("lambda_cap must be at least 1")
     lam = Fraction(1)
-    last: Optional[BoxSystemInfeasible] = None
-    while lam <= lambda_cap:
+    while lam <= lambda_cap:  # runs at least once, so last is bound after it
         try:
             return realize_vector(v, lam)
         except BoxSystemInfeasible as exc:
             last = exc
             lam *= 2
-    raise InconclusiveError(lambda_cap, last)
+    return Refusal("inconclusive", f"no realization found with lambda <= {lambda_cap} (last failure: {last})")

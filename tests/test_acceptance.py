@@ -116,8 +116,8 @@ def test_criterion_4_farkas_soundness():
         result = check_implication(system, ineq)
         assert isinstance(result, FarkasCertificate), format_inequality(coeffs)
         recon = {}
-        for idx, w in result.weights.items():
-            for mask, c in coefficients(system.generators[idx]).items():
+        for cover, w in result.weights.items():
+            for mask, c in coefficients(cover).items():
                 recon[mask] = recon.get(mask, F(0)) + w * c
         assert {m: c for m, c in recon.items() if c != 0} == coeffs
 

@@ -235,6 +235,8 @@ class TestRealizeCommand:
         assert not (tmp_path / "body.json").exists()
 
     def test_not_in_cone(self, capsys, tmp_path):
+        """The whole refusal is pinned, byte for byte: its keys, their order
+        and the detail naming the first ground where the vector is outside."""
         for text, ground in (
             ('{"n":2,"entries":{"1,2":"1"}}', "{1,2}"),
             # tight on {1,2} before it is outside on {1,3}: outside wins
@@ -243,19 +245,29 @@ class TestRealizeCommand:
             vec = write(tmp_path, "bad.json", text)
             code, out, _ = run(capsys, "realize", "--vector", vec, "--out", str(tmp_path / "x.json"))
             assert code == 1
-            data = json.loads(out)
-            assert data["reason"] == "not-in-cone"
-            assert data["detail"].endswith(f"on {ground}")
+            assert out == json.dumps({
+                "realized": False,
+                "reason": "not-in-cone",
+                "detail": f"vector violates a uniform-cover inequality on {ground}",
+            }, indent=2) + "\n"
             assert not (tmp_path / "x.json").exists()
 
     def test_inconclusive_at_tiny_cap(self, capsys, tmp_path):
+        """The whole refusal is pinned, byte for byte, with the last failed
+        ground and the cap it stopped at."""
         vec = write(tmp_path, "ones.json", ONES2)
         code, out, _ = run(
             capsys, "realize", "--vector", vec, "--out", str(tmp_path / "x.json"),
             "--lambda-cap", "1",
         )
         assert code == 1
-        assert json.loads(out)["reason"] == "inconclusive"
+        assert out == json.dumps({
+            "realized": False,
+            "reason": "inconclusive",
+            "detail": "no realization found with lambda <= 1 (last failure: box system for ground {1,2} is infeasible)",
+            "lambda_cap": "1",
+        }, indent=2) + "\n"
+        assert not (tmp_path / "x.json").exists()
 
     def test_lambda_cap_defaults_to_realize_default(self, capsys, tmp_path):
         """Without --lambda-cap the doubling stops at realize.DEFAULT_LAMBDA_CAP

@@ -171,9 +171,9 @@ class TestCorePoint:
 
     @pytest.mark.parametrize("n,count", [(2, 40), (3, 30), (4, 20), (5, 20)])
     def test_find_lambda_decides_as_membership(self, monkeypatch, n, count):
-        """find_lambda raises NotInConeError exactly when membership finds a
-        violated generator, refuses v as boundary exactly when it finds a
-        tight one, and otherwise hands v on as given."""
+        """find_lambda refuses v as not-in-cone exactly when membership finds
+        a violated generator, as boundary exactly when it finds a tight one,
+        and otherwise hands v on as given."""
         handed = []
         monkeypatch.setattr(realize, "realize_vector", lambda w, lam: handed.append(w))
         system = build_bt_system(n)
@@ -184,12 +184,10 @@ class TestCorePoint:
             for v in (near, shift(near, Fraction(1, 8)), shift(near, Fraction(1, 2))):
                 report = membership(system, v)
                 if not report.inside:
-                    with pytest.raises(realize.NotInConeError):
-                        realize.find_lambda(v)
+                    assert realize.find_lambda(v).reason == "not-in-cone"
                     outcomes["outside"] += 1
                 elif report.tight:
-                    with pytest.raises(realize.BoundaryError):
-                        realize.find_lambda(v)
+                    assert realize.find_lambda(v).reason == "boundary"
                     outcomes["tight"] += 1
                 else:
                     realize.find_lambda(v)

@@ -33,9 +33,11 @@ cone_system = cache(build_bt_system)
 
 
 def reconstruct(system, cert):
+    """The certificate's combination, from its own covers; each is a generator of system."""
     total = {}
-    for j, w in cert.weights.items():
-        for mask, c in coefficients(system.generators[j]).items():
+    for cover, w in cert.weights.items():
+        assert cover in system.generators
+        for mask, c in coefficients(cover).items():
             total[mask] = total.get(mask, F(0)) + w * c
     return {m: c for m, c in total.items() if c != 0}
 
@@ -69,7 +71,7 @@ class TestCheckImplication:
         result = check_implication(system, ineq)
         assert isinstance(result, FarkasCertificate)
         assert reconstruct(system, result) == ineq.coeffs
-        used = {system.generators[j].parts: w for j, w in result.weights.items()}
+        used = {cover.parts: w for cover, w in result.weights.items()}
         assert used == {(0b001, 0b110): F(1), (0b010, 0b101): F(1)}
 
     def test_generator_certifies_itself(self):
@@ -77,7 +79,7 @@ class TestCheckImplication:
         ineq = LinearInequality.from_maps(2, {0b01: F(1), 0b10: F(1)}, {0b11: F(1)})
         result = check_implication(system, ineq)
         assert isinstance(result, FarkasCertificate)
-        assert result.weights == {0: F(1)}
+        assert result.weights == {system.generators[0]: F(1)}
 
     def test_every_bt3_generator_certified(self):
         system = build_bt_system(3)
@@ -122,6 +124,23 @@ class TestCheckImplication:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             check_implication(build_bt_system(2), GUESS)
+
+    @pytest.mark.parametrize("n,facets,per_ground", [(2, 1, {2: 1}), (3, 7, {2: 1, 3: 4}),
+                                                     (4, 40, {2: 1, 3: 4, 4: 18})])
+    def test_facets_are_the_generators_no_others_imply(self, n, facets, per_ground):
+        """A generator is a facet of the cone exactly when the other generators
+        do not imply it: 1, 7 and 40 at n = 2, 3 and 4, and on each ground a
+        number that depends only on its size (1, 4 and 18 at sizes 2, 3 and 4)."""
+        system = build_bt_system(n)
+        found = {}
+        for j, g in enumerate(system.generators):
+            others = system._replace(generators=system.generators[:j] + system.generators[j + 1:])
+            ineq = LinearInequality(n, {m: F(c) for m, c in coefficients(g).items()})
+            if isinstance(check_implication(others, ineq), SeparatingWitness):
+                found[g.ground] = found.get(g.ground, 0) + 1
+        assert sum(found.values()) == facets
+        assert found == {ground: per_ground[ground.bit_count()]
+                         for ground in canonical_subset_order(n) if ground.bit_count() >= 2}
 
 
 class TestViolatingBody:
@@ -282,5 +301,5 @@ class TestInequalityFiles:
         system = build_bt_system(2)
         ineq = LinearInequality.from_maps(2, {0b01: F(1), 0b10: F(1)}, {0b11: F(1)})
         cert = check_implication(system, ineq)
-        obj = certificate_to_obj(system, cert)
+        obj = certificate_to_obj(cert)
         assert obj == [{"ground": "1,2", "k": 1, "parts": ["1", "2"], "weight": "1"}]

@@ -23,10 +23,8 @@ from covercone.covers import irreducible_covers
 from covercone.farkas import LinearInequality, check_implication, violating_body
 from covercone.realize import (
     _SLACK,
-    BoundaryError,
     BoxSystemInfeasible,
-    InconclusiveError,
-    NotInConeError,
+    Refusal,
     find_lambda,
     realize_vector,
     solve_box_system,
@@ -309,12 +307,29 @@ class TestFindLambda:
         """The boundary vector 0 is refused, naming its tight ground; the
         caller's shift by 1 takes it inside, to ONES2, realized at lambda 2."""
         zero = ProjectionVector.from_entries(2, {})
-        with pytest.raises(BoundaryError, match=r"zero slack on \{1,2\}$"):
-            find_lambda(zero, 64)
+        assert find_lambda(zero, 64) == Refusal("boundary", "vector is on the boundary of the cone: zero slack on {1,2}")
         result = find_lambda(shift(zero, F(1)), 64)
         assert result.lam == 2
         for mask in canonical_subset_order(2):
-            assert_within_slack(result.volumes[mask], exp_fraction(result.lam * ONES2[mask]))
+            assert_within_slack(projection_volume(result.body, mask), exp_fraction(result.lam * ONES2[mask]))
+
+    def test_lineality_space_and_direct_sums_refused_as_boundary(self):
+        """The zero vector, a modular vector and a direct sum of two interior
+        vectors are in the cone but refused as boundary, at their first tight
+        ground.  A box realizes each modular vector, and the product of two
+        bodies a direct sum, so these are refusals of realizable vectors:
+        ROADMAP.md item 26 (sums and products of bodies) turns them into
+        realizations and must re-target this test to them."""
+
+        def boundary(ground):
+            return Refusal("boundary", f"vector is on the boundary of the cone: zero slack on {ground}")
+
+        for n in (2, 3, 4):
+            assert find_lambda(ProjectionVector.from_entries(n, {})) == boundary("{1,2}")
+        assert find_lambda(shift(half_plus_modular(4), F(-1, 2))) == boundary("{1,2}")
+        half = {0: F(0), 0b01: F(1), 0b10: F(1), 0b11: F(3, 2)}
+        direct_sum = ProjectionVector.from_entries(4, {m: half[m & 0b11] + half[m >> 2] for m in range(1, 16)})
+        assert find_lambda(direct_sum) == boundary("{1,3}")
 
     @pytest.mark.parametrize("cap", ["0", "1/2", "-4"])
     def test_cap_below_one_rejected(self, cap):
@@ -334,10 +349,10 @@ class TestFindLambda:
         monkeypatch.setattr(cone, "margin", refuse)
         for w in (ONES2, shift(sample_bt3_vector(random.Random(13)), F(1, 4))):
             find_lambda(w, 64)
-        with pytest.raises(BoundaryError, match=r"on \{1,2\}"):
-            find_lambda(ProjectionVector.from_entries(2, {}), 64)
-        with pytest.raises(NotInConeError, match=r"on \{1,2\}"):
-            find_lambda(ProjectionVector.from_entries(2, {0b11: F(1)}), 64)
+        refused = find_lambda(ProjectionVector.from_entries(2, {}), 64)
+        assert refused.reason == "boundary" and refused.detail.endswith("on {1,2}")
+        refused = find_lambda(ProjectionVector.from_entries(2, {0b11: F(1)}), 64)
+        assert refused.reason == "not-in-cone" and refused.detail.endswith("on {1,2}")
 
     @pytest.mark.parametrize("name", sorted(PINNED_BODIES))
     def test_body_pinned(self, name):
@@ -345,18 +360,19 @@ class TestFindLambda:
         v, lam, digest = PINNED_BODIES[name]
         result = find_lambda(v)
         for mask in canonical_subset_order(4):
-            assert_within_slack(result.volumes[mask], exp_fraction(lam * v[mask]))
+            assert_within_slack(projection_volume(result.body, mask), exp_fraction(lam * v[mask]))
         assert result.lam == lam
         assert hashlib.sha256(write_body(result.body).encode()).hexdigest() == digest
 
     def test_outside_cone_rejected(self):
         v = ProjectionVector.from_entries(2, {0b11: F(1)})
-        with pytest.raises(NotInConeError):
-            find_lambda(v, 64)
+        assert find_lambda(v, 64) == Refusal("not-in-cone", "vector violates a uniform-cover inequality on {1,2}")
 
     def test_cap_reached_is_inconclusive(self):
-        with pytest.raises(InconclusiveError):
-            find_lambda(ONES2, 1)
+        assert find_lambda(ONES2, 1) == Refusal(
+            "inconclusive",
+            "no realization found with lambda <= 1 (last failure: box system for ground {1,2} is infeasible)",
+        )
 
     def test_success_persists_at_double_lambda(self):
         rng = random.Random(17)
@@ -381,7 +397,7 @@ class TestRoundTrip:
         result = find_lambda(v, 64)
         assert set(result.residual_report) == set(canonical_subset_order(3))
         for mask, gap in result.residual_report.items():
-            assert gap == abs(log_fraction(result.volumes[mask]) - result.lam * v[mask])
+            assert gap == abs(log_fraction(projection_volume(result.body, mask)) - result.lam * v[mask])
 
 
 def endpoint_bits(q):
