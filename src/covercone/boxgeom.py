@@ -29,9 +29,11 @@ class BoxUnionBody(NamedTuple):
 def projection_volume(body: BoxUnionBody, mask: int) -> Fraction:
     """Exact |A|-dimensional measure of the projection onto the axes in `mask`.
 
-    Coordinate compression: the grid induced by the active boxes' endpoints
-    partitions each axis; a cell contributes iff some box spans it entirely.
-    Boxes degenerate on any axis of A project to measure zero and drop out.
+    Endpoint sweep (Bentley 1977), one axis of A per depth: sorted endpoints
+    cut the axis into slabs, and each slab adds its width times the measure of
+    the boxes open over it on the remaining axes.  Boxes degenerate on an axis
+    of A drop out.  Open sets recur across the slabs and branches of
+    overlapping bodies, so measures are memoized by (open boxes, depth).
     """
     if mask == 0 or mask >> body.n:
         raise ValueError(f"mask {mask} is not a nonempty subset of [{body.n}]")
@@ -53,16 +55,13 @@ def projection_volume(body: BoxUnionBody, mask: int) -> Fraction:
         cached = memo.get(key)
         if cached is not None:
             return cached
-        points = sorted(
-            {rects[i][depth][0] for i in active} | {rects[i][depth][1] for i in active}
-        )
-        total = Fraction(0)
-        for a, b in zip(points, points[1:]):
-            spanning = frozenset(
-                i for i in active if rects[i][depth][0] <= a and b <= rects[i][depth][1]
-            )
-            if spanning:
-                total += (b - a) * measure(spanning, depth + 1)
+        events = sorted((rects[i][depth][end], end, i) for i in active for end in (0, 1))
+        total, open_boxes, prev = Fraction(0), set(), None
+        for x, end, i in events:
+            if open_boxes and x > prev:
+                total += (x - prev) * measure(frozenset(open_boxes), depth + 1)
+            (open_boxes.discard if end else open_boxes.add)(i)
+            prev = x
         memo[key] = total
         return total
 

@@ -54,8 +54,8 @@ from .core import (
 )
 
 DEFAULT_LAMBDA_CAP = 1024
-#: find_lambda + projection_volume on 1/2 + modular take ~1 s at n = 7, ~3 s
-#: at n = 8 and ~13 s at n = 9, in-process
+#: find_lambda + projection_volume on 1/2 + modular take ~0.6 s at n = 7,
+#: ~2 s at n = 8 and ~7-10 s at n = 9, in-process
 MAX_REALIZE_DIMENSION = 8
 DEFAULT_TOLERANCE = Fraction(1, 10**6)
 

@@ -6,7 +6,7 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import axiswise_disjoint, inclusion_exclusion_volume, random_body, thicken
+from conftest import axiswise_disjoint, half_plus_modular, inclusion_exclusion_volume, random_body, thicken
 from covercone.boxgeom import (
     BoxUnionBody,
     disjoint_offset,
@@ -15,6 +15,7 @@ from covercone.boxgeom import (
     write_body,
 )
 from covercone.core import FormatError, canonical_subset_order, elements
+from covercone.realize import find_lambda
 
 
 def box(*pairs):
@@ -56,13 +57,29 @@ class TestProjectionVolume:
         assert projection_volume(body, 0b01) == 5
         assert projection_volume(body, 0b10) == 0
 
-    @pytest.mark.parametrize("n,trials", [(2, 120), (3, 80), (4, 20)])
-    def test_matches_inclusion_exclusion(self, n, trials):
+    @pytest.mark.parametrize(
+        "n,trials,max_boxes,grid",
+        [pytest.param(n, t, 3, {}, id=f"{n}-{t}") for n, t in ((2, 120), (3, 80), (4, 20))]
+        # integer endpoints on 0..3: intervals touch, nest and repeat
+        + [pytest.param(n, 150, 6, {"denom": 1, "hi": 3}, id=f"ties-{n}") for n in (1, 2, 3, 4)],
+    )
+    def test_matches_inclusion_exclusion(self, n, trials, max_boxes, grid):
         rng = random.Random(n * 1000 + 9)
         for _ in range(trials):
-            body = random_body(rng, n, 3)
+            body = random_body(rng, n, max_boxes, **grid)
             for mask in canonical_subset_order(n):
                 assert projection_volume(body, mask) == inclusion_exclusion_volume(body, mask)
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_realized_body_sums_its_boxes(self, n):
+        """The body realizing 1/2 + modular (63 and 127 boxes) is axis-disjoint,
+        so every projection volume is the sum over boxes of the product of
+        their sides on A."""
+        body = find_lambda(half_plus_modular(n)).body
+        assert axiswise_disjoint(body)
+        for mask in canonical_subset_order(n):
+            own = sum(prod(bx[a - 1][1] - bx[a - 1][0] for a in elements(mask)) for bx in body.boxes)
+            assert projection_volume(body, mask) == own
 
     def test_monotone_under_union(self):
         rng = random.Random(31)
