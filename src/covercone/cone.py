@@ -15,7 +15,8 @@ from math import lcm
 from typing import Mapping, NamedTuple, Optional
 
 from . import covers, simplex
-from .core import ProjectionVector, canonical_subset_order, elements, format_rational, format_subset, subsets_of
+from .core import (ProjectionVector, canonical_subset_order, elements, format_rational, format_subset, subset_key,
+                   subsets_of)
 
 #: bounds only the generator-list commands: the default k <= |Y| system is
 #: proved complete up to here, and no complete list for n = 6 is known
@@ -107,7 +108,7 @@ def core_point(ground: int, values: Mapping[int, Fraction]) -> Optional[tuple[Op
     min sum of w_A values[A] - values[ground] over the balanced weightings
     w >= 0 of the proper subsets A (sum of w_A over A containing i = 1 for
     each element i), from one simplex.solve_equality_lp with those rows in
-    element order and columns w_A in (size, mask) order.  The LP is feasible
+    element order and columns w_A in core.subset_key order.  The LP is feasible
     (singletons) and bounded (w_A <= 1).  A k-uniform cover is the weighting
     (multiplicity of A)/k, and the minimum is reached at an irreducible
     cover, so by Bondareva-Shapley the slack is negative, zero or positive
@@ -123,7 +124,7 @@ def core_point(ground: int, values: Mapping[int, Fraction]) -> Optional[tuple[Op
     elems = elements(ground)
     if len(elems) == 1:
         return None, {elems[0]: values[ground]}
-    caps = sorted(subsets_of(ground), key=lambda a: (a.bit_count(), a))[:-1]  # the ground sorts last
+    caps = sorted(subsets_of(ground), key=subset_key)[:-1]  # the ground sorts last
     res = simplex.solve_equality_lp([[a >> (e - 1) & 1 for a in caps] for e in elems], [1] * len(elems),
                                     [values[a] for a in caps])
     slack = res.objective - values[ground]

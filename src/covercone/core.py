@@ -162,14 +162,19 @@ def subsets_of(ground: int) -> Iterator[int]:
         sub = (sub - 1) & ground
 
 
+def subset_key(mask: int) -> tuple[int, int]:
+    """(size, bits): the one order of subsets, which lays out every LP's rows and columns."""
+    return (mask.bit_count(), mask)
+
+
 def canonical_subset_order(n: int) -> list[int]:
-    """All 2^n - 1 nonempty masks sorted by (popcount, bits).
+    """All 2^n - 1 nonempty masks sorted by subset_key.
 
     This is a linear extension of the subset order in the sense needed
     downstream: a later set is never a proper subset of an earlier one.
     """
     check_dimension(n)
-    return sorted(range(1, 1 << n), key=lambda m: (m.bit_count(), m))
+    return sorted(range(1, 1 << n), key=subset_key)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ One search serves all three tasks: it picks sub-multisets of a pool of
 (part, most copies) pairs with every element covered exactly k times.
 Enumeration searches the pool of all subsets of Y, decomposition the
 cover's own parts, and irreducibility the pool of all subsets while
-avoiding the irreducible covers of multiplicity at most k//2.
+avoiding the irreducible covers of multiplicity at most k//2.  Parts,
+pools and covers are ordered by core.subset_key.
 
 Relabeling the elements maps irreducible covers to irreducible covers, so
 each level of them is a union of orbits.  For |Y| <= 5 and k <= |Y| (every
@@ -29,7 +30,7 @@ from collections import Counter
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .core import FormatError, MAX_DIMENSION, format_subset, load_object, parse_subset, subsets_of
+from .core import FormatError, MAX_DIMENSION, format_subset, load_object, parse_subset, subset_key, subsets_of
 
 #: guard against runaway enumerations: k_max * |ground| parts at most
 COVER_PART_LIMIT = 64
@@ -39,12 +40,8 @@ class ResourceLimitError(RuntimeError):
     """Enumeration would exceed the configured resource bound."""
 
 
-def _part_key(mask: int) -> tuple[int, int]:
-    return (mask.bit_count(), mask)
-
-
 class UniformCover(NamedTuple):
-    """A k-uniform cover; parts are kept sorted by (size, bits).
+    """A k-uniform cover; parts are kept sorted by core.subset_key.
 
     A plain record, checked only by from_parts (see the module docstring).
     """
@@ -56,7 +53,7 @@ class UniformCover(NamedTuple):
     @classmethod
     def from_parts(cls, ground: int, parts) -> "UniformCover":
         """Build a cover from an unordered part multiset; k is inferred."""
-        parts = tuple(sorted(parts, key=_part_key))
+        parts = tuple(sorted(parts, key=subset_key))
         counts = _coverage(ground, parts)
         if not counts or len(set(counts)) != 1 or counts[0] == 0:
             raise ValueError("part multiset does not cover the ground uniformly")
@@ -71,7 +68,7 @@ class UniformCover(NamedTuple):
         return self.parts == (self.ground,)
 
     def sort_key(self):
-        return (self.k, len(self.parts), tuple(_part_key(p) for p in self.parts))
+        return (self.k, len(self.parts), tuple(subset_key(p) for p in self.parts))
 
 
 def _coverage(ground: int, parts) -> list[int]:
@@ -177,7 +174,7 @@ def _search(ground: int, pool, k: int, avoid=(), limit: Optional[int] = None) ->
 
 
 def _all_parts(ground: int, k: int) -> list[tuple[int, int]]:
-    return [(part, k) for part in sorted(subsets_of(ground), key=_part_key)]
+    return [(part, k) for part in sorted(subsets_of(ground), key=subset_key)]
 
 
 def enumerate_covers(ground: int, k_max: int) -> list[UniformCover]:
@@ -203,7 +200,7 @@ def decompose(cover: UniformCover) -> Optional[tuple[UniformCover, UniformCover]
     the first hit at the smallest k', with distinct parts in canonical order
     and higher multiplicities tried first.
     """
-    pool = sorted(Counter(cover.parts).items(), key=lambda it: _part_key(it[0]))
+    pool = sorted(Counter(cover.parts).items(), key=lambda it: subset_key(it[0]))
     for kp in range(1, cover.k // 2 + 1):
         hit = _search(cover.ground, pool, kp, limit=1)
         if hit:
@@ -276,9 +273,9 @@ def _relabelings(size: int, representatives) -> tuple[tuple[int, ...], ...]:
     The transposition (1 2) and the cycle (1 2 ... size) generate S_size, so
     the orbits are closed under those two alone: each distinct cover is
     mapped by each generator once.  Parts are handled as their ranks in
-    _part_key order, so plain int sorts give the order of parts and of covers.
+    core.subset_key order, so plain int sorts give the order of parts and of covers.
     """
-    order = sorted(range(1 << size), key=_part_key)
+    order = sorted(range(1 << size), key=subset_key)
     rank = [0] * len(order)
     for r, mask in enumerate(order):
         rank[mask] = r
@@ -313,7 +310,7 @@ def _irreducible_level(size: int, k: int) -> tuple[tuple[int, ...], ...]:
     ground = (1 << size) - 1
     avoid = [parts for j in range(1, k // 2 + 1) for parts in _irreducible_level(size, j)]
     found = _search(ground, _all_parts(ground, k), k, avoid)
-    return tuple(sorted(found, key=lambda parts: (len(parts), [_part_key(p) for p in parts])))
+    return tuple(sorted(found, key=lambda parts: (len(parts), [subset_key(p) for p in parts])))
 
 
 def irreducible_covers(ground: int, k_max: Optional[int] = None) -> list[UniformCover]:
@@ -332,11 +329,12 @@ def irreducible_covers(ground: int, k_max: Optional[int] = None) -> list[Uniform
     irreducible cover.
     """
     k_max = check_k_max(ground, k_max)
-    image = _subset_images([e for e in range(MAX_DIMENSION) if ground >> e & 1])
+    bits = [e for e in range(MAX_DIMENSION) if ground >> e & 1]
+    image = _subset_images(bits)
     return [
         UniformCover(ground, k, tuple(map(image.__getitem__, parts)))
         for k in range(1, k_max + 1)
-        for parts in _irreducible_level(ground.bit_count(), k)
+        for parts in _irreducible_level(len(bits), k)
     ]
 
 

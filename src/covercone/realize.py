@@ -50,6 +50,7 @@ from .core import (
     exp_fraction,
     format_subset,
     log_fraction,
+    subset_key,
     subsets_of,
 )
 
@@ -115,7 +116,7 @@ def solve_box_system(ground: int, y: Mapping[int, Fraction]) -> BoxSystem:
     exp_fraction of its log side, so z_ground equals y_ground, and every
     other z_A stays below y_A, up to a factor 1 +- _SLACK.
     """
-    members = sorted(subsets_of(ground), key=lambda m: (m.bit_count(), m))
+    members = sorted(subsets_of(ground), key=subset_key)
     for a in members:
         if a not in y:
             raise ValueError(f"missing target for subset {{{format_subset(a)}}}")

@@ -41,6 +41,7 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 _ZERO = Fraction(0)
+MAX_PIVOTS = 100_000  # rounds of Bland's rule per solve (a pivot each, plus one per phase)
 
 
 class PivotLimitError(RuntimeError):
@@ -59,12 +60,8 @@ class LPResult(NamedTuple):
     pivots: int = 0
 
 
-def solve_equality_lp(
-    rows: Sequence[Sequence[Fraction]],
-    rhs: Sequence[Fraction],
-    cost: Sequence[Fraction],
-    max_pivots: int = 100_000,
-) -> LPResult:
+def solve_equality_lp(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction],
+                      cost: Sequence[Fraction]) -> LPResult:
     m = len(rows)
     nvars = len(cost)
     if any(len(r) != nvars for r in rows) or len(rhs) != m:
@@ -84,7 +81,7 @@ def solve_equality_lp(
         for j in compress(range(nvars), row):
             columns[j].append(entry[row[j]])
     columns += [[(i, 1)] for i in range(m)]
-    lp = _RevisedSimplex(columns, [s * v.numerator * (L // v.denominator) for s, v in zip(sigma, rhs)], max_pivots)
+    lp = _RevisedSimplex(columns, [s * v.numerator * (L // v.denominator) for s, v in zip(sigma, rhs)])
 
     # phase 1: minimize the artificial sum
     phase1 = [0] * nvars + [1] * m
@@ -121,7 +118,7 @@ class _RevisedSimplex:
     drive-out pivots between the phases leave it stale.
     """
 
-    def __init__(self, columns, X: list[int], max_pivots: int):
+    def __init__(self, columns, X: list[int]):
         m = len(X)
         self.columns = columns
         self.basis = list(range(len(columns) - m, len(columns)))
@@ -129,7 +126,7 @@ class _RevisedSimplex:
         self.X = X
         self.D = 1
         self.P: list[int] = []
-        self.budget = max_pivots
+        self.budget = MAX_PIVOTS
         self.pivots = 0
 
     def duals(self, cost) -> list[int]:

@@ -376,6 +376,10 @@ class TestCoversCommand:
         data = json.loads(out)
         assert data["count"] == 6
         assert {"ground": "1,2,3", "k": 2, "parts": ["1,2", "1,3", "2,3"]} in data["covers"]
+        # [6] is past the orbit table, so k <= 2 runs the search with its avoid set
+        code, out, _ = run(capsys, "covers", "--ground", "1,2,3,4,5,6", "--irreducible", "--kmax", "2")
+        assert code == 0
+        assert json.loads(out)["count"] == 10815
 
     def test_all_covers(self, capsys):
         code, out, _ = run(capsys, "covers", "--ground", "1,2", "--kmax", "1")
@@ -464,6 +468,7 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+        assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
 
     def test_malformed_json_is_exit_two(self, capsys, tmp_path):
         path = write(tmp_path, "junk.json", "{not json")
@@ -489,15 +494,20 @@ class TestUsageErrors:
         assert not (tmp_path / "b.json").exists()
 
     @pytest.mark.parametrize(
-        "argv, text",
+        "argv, text, line",
         [(["project", "--body", "in.json", "--out", "out.json"],
-          '{"n": 1, "boxes": [{"intervals": [[0, 1]]}]}'),
-         (["member", "--vector", "in.json"], "[" * 100000 + "]" * 100000),
-         (["member", "--vector", "in.json"], '{"n": 2, "entires": {"1,2": "5"}}'),
-         (["imply", "--inequality", "in.json"], '{"n": 2, "lhs": {"1,2": "1"}, "rsh": {"1": "1"}}')],
-        ids=["numeric-endpoint", "deep-nesting", "misspelled-entries", "misspelled-rhs"],
+          '{"n": 1, "boxes": [{"intervals": [[0, 1]]}]}', None),
+         (["member", "--vector", "in.json"], "[" * 100000 + "]" * 100000, None),
+         (["member", "--vector", "in.json"], '{"n": 2, "entires": {"1,2": "5"}}', None),
+         (["imply", "--inequality", "in.json"], '{"n": 2, "lhs": {"1,2": "1"}, "rsh": {"1": "1"}}', None),
+         (["project", "--body", "in.json", "--out", "out.json"],
+          '{"n": 1, "boxes": [{"intervals": [["1", "0"]]}]}', "error: empty interval [1, 0]\n"),
+         (["shearer", "--family", "in.json", "--cover", "in.json"],
+          '{"n": 2, "members": ["1", "1"]}', "error: duplicate family member\n")],
+        ids=["numeric-endpoint", "deep-nesting", "misspelled-entries", "misspelled-rhs", "empty-interval",
+             "duplicate-member"],
     )
-    def test_malformed_file_is_one_error_line(self, tmp_path, argv, text):
+    def test_malformed_file_is_one_error_line(self, tmp_path, argv, text, line):
         env = dict(os.environ, PYTHONPATH=str(Path(covercone.__file__).parent.parent))
         write(tmp_path, "in.json", text)
         proc = subprocess.run([sys.executable, "-m", "covercone", *argv], cwd=tmp_path,
@@ -507,6 +517,7 @@ class TestUsageErrors:
         assert proc.stderr.startswith("error: ")
         assert proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
+        assert line is None or proc.stderr == line
 
     def test_lambda_cap_below_one_is_usage_error(self, capsys, tmp_path):
         vec = write(tmp_path, "ones.json", ONES2)
@@ -625,6 +636,8 @@ class TestUsageErrors:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+        if stdout_closed == "reader":  # every write to the pipe fails
+            assert err == "error: [Errno 32] Broken pipe\n"
 
     @pytest.mark.parametrize("argv, stderr_closed, code", [
         (["member", "--vector", "missing.json"], "fd", 2),

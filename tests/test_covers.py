@@ -12,7 +12,6 @@ from covercone.covers import (
     UniformCover,
     _all_parts,
     _irreducible_level,
-    _part_key,
     _relabelings,
     _search,
     cover_from_json,
@@ -21,7 +20,7 @@ from covercone.covers import (
     enumerate_covers,
     irreducible_covers,
 )
-from covercone.core import FormatError
+from covercone.core import FormatError, subset_key
 
 
 def cover(ground, *parts, k=None):
@@ -43,7 +42,7 @@ def searched_level(size, k):
 def orbit(size, parts):
     """Every relabeling of a part tuple by a permutation of {1..size}, parts sorted."""
     return {
-        tuple(sorted((sum(1 << perm[e] for e in range(size) if p >> e & 1) for p in parts), key=_part_key))
+        tuple(sorted((sum(1 << perm[e] for e in range(size) if p >> e & 1) for p in parts), key=subset_key))
         for perm in permutations(range(size))
     }
 

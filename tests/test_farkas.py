@@ -1,8 +1,10 @@
 import hashlib
 import json
+import re
 import sys
 from fractions import Fraction as F
 from functools import cache
+from itertools import permutations
 from math import ceil, floor, prod
 
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import axiswise_disjoint, random_body, thicken
 from covercone.boxgeom import projection_volume, write_body
 from covercone.cone import build_bt_system, coefficients, format_inequality, membership
-from covercone.core import FormatError, canonical_subset_order, elements
+from covercone.core import FormatError, ProjectionVector, canonical_subset_order, elements
 from covercone.farkas import (
     FarkasCertificate,
     LinearInequality,
@@ -26,6 +28,7 @@ from covercone.farkas import (
 GUESS = LinearInequality.from_maps(
     4, {0b0011: F(1), 0b0110: F(1), 0b1100: F(1)}, {0b0111: F(1), 0b1110: F(1)}
 )
+LW4 = LinearInequality.from_maps(4, {0b0111: F(1), 0b1011: F(1), 0b1101: F(1), 0b1110: F(1)}, {0b1111: F(3)})
 GUESS5 = LinearInequality.from_maps(
     5, {0b00011: F(1), 0b00110: F(1), 0b01100: F(1)}, {0b00111: F(1), 0b01110: F(1)}
 )
@@ -52,8 +55,6 @@ class TestLinearInequality:
             LinearInequality.from_maps(2, {0b01: F(-1)}, {})
 
     def test_evaluate(self):
-        from covercone.core import ProjectionVector
-
         v = ProjectionVector.from_entries(2, {0b01: F(1), 0b11: F(3)})
         ineq = LinearInequality.from_maps(2, {0b01: F(2)}, {0b11: F(1)})
         assert ineq.evaluate(v) == -1
@@ -95,11 +96,19 @@ class TestCheckImplication:
             assert reconstruct(system, result) == coeffs
 
     def test_guess_yields_witness(self):
+        """On each of the 24 relabelings of the guess the witness is in the cone
+        and the guess gives exactly -1 on it.  The witness is -y / (y.target)
+        for the Farkas dual y, so that -1 holds for every y and
+        check_implication does not re-check it."""
         system = build_bt_system(4)
-        result = check_implication(system, GUESS)
-        assert isinstance(result, SeparatingWitness)
-        assert membership(system, result.vector).inside
-        assert GUESS.evaluate(result.vector) == -1
+        for perm in permutations(range(4)):
+            image = {m: sum(1 << perm[e] for e in range(4) if m >> e & 1) for m in range(16)}
+            ineq = LinearInequality.from_maps(4, {image[m]: c for m, c in GUESS.coeffs.items() if c > 0},
+                                              {image[m]: -c for m, c in GUESS.coeffs.items() if c < 0})
+            result = check_implication(system, ineq)
+            assert isinstance(result, SeparatingWitness), perm
+            assert membership(system, result.vector).inside, perm
+            assert ineq.evaluate(result.vector) == -1, perm
 
     def test_reversed_generator_yields_witness(self):
         system = build_bt_system(2)
@@ -270,9 +279,15 @@ class TestViolatingBody:
         assume(isinstance(result, SeparatingWitness))
         self.assert_box_bounds(ineq, result.vector, violating_body(ineq, result.vector))
 
-    def test_rejects_non_violating_witness(self):
-        from covercone.core import ProjectionVector
+    def test_rejects_witness_outside_the_cone(self):
+        """The witness imply --kmax 2 finds for Loomis-Whitney on [4]: inside
+        the k <= 2 cone, outside the complete one on {1,2,3,4}."""
+        x = {1: F(2, 7), 2: F(4, 7), 3: F(-1, 7), 4: F(1, 7)}
+        witness = ProjectionVector.from_entries(4, {m: x[m.bit_count()] for m in range(1, 16)})
+        with pytest.raises(RuntimeError, match=re.escape("witness is outside the cone on {1,2,3,4}")):
+            violating_body(LW4, witness)
 
+    def test_rejects_non_violating_witness(self):
         ineq = LinearInequality.from_maps(2, {0b11: F(1)}, {0b01: F(1), 0b10: F(1)})
         with pytest.raises(ValueError):
             violating_body(ineq, ProjectionVector.from_entries(2, {}))

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from unittest.mock import patch
 
 import pytest
 from hypothesis import find, given, settings, strategies as st
@@ -80,11 +81,10 @@ def test_dimension_validation():
         solve_equality_lp([[F(1)]], [F(1), F(2)], [F(0)])
 
 
-def test_pivot_budget():
+def test_pivot_budget(monkeypatch):
+    monkeypatch.setattr(simplex, "MAX_PIVOTS", 1)
     with pytest.raises(PivotLimitError):
-        solve_equality_lp(
-            [[F(1), F(1)], [F(1), F(-1)]], [F(2), F(0)], [F(1), F(0)], max_pivots=1
-        )
+        solve_equality_lp([[F(1), F(1)], [F(1), F(-1)]], [F(2), F(0)], [F(1), F(0)])
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +148,8 @@ def outcome(solver, *args, **kwargs):
 def test_matches_tableau(lp, budget):
     """Same status, x, objective, Farkas dual and pivot count; same budget cut."""
     assert outcome(solve_equality_lp, *lp) == outcome(tableau_lp, *lp)
-    assert outcome(solve_equality_lp, *lp, max_pivots=budget) == outcome(tableau_lp, *lp, max_pivots=budget)
+    with patch.object(simplex, "MAX_PIVOTS", budget):
+        assert outcome(solve_equality_lp, *lp) == outcome(tableau_lp, *lp, max_pivots=budget)
 
 
 @settings(max_examples=300, deadline=None)
@@ -293,8 +294,8 @@ def test_integer_basis_invariant(monkeypatch, capsys, tmp_path):
     pivot, optimize = simplex._RevisedSimplex.pivot, simplex._RevisedSimplex.optimize
     checked, carried = [], []
 
-    def recording_init(lp, columns, X, max_pivots):
-        init(lp, columns, X, max_pivots)
+    def recording_init(lp, columns, X):
+        init(lp, columns, X)
         lp.b = list(X)  # the scaled right-hand side, while B = I and D = 1
 
     def recording_optimize(lp, cost, limit):
