@@ -10,7 +10,6 @@ its core points give a box-union body whose exact volumes violate it.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from math import ceil, floor, lcm
 from typing import Mapping, NamedTuple, Union
@@ -179,17 +178,6 @@ def read_inequality(text: str) -> LinearInequality:
     if any(c < 0 for side in (lhs, rhs) for c in side.values()):
         raise FormatError("coefficients must be nonnegative")
     return LinearInequality.from_maps(data["n"], lhs, rhs)
-
-
-def write_inequality(ineq: LinearInequality) -> str:
-    return json.dumps(
-        {
-            "n": ineq.n,
-            "lhs": {format_subset(m): format_rational(c) for m, c in ineq.coeffs.items() if c > 0},
-            "rhs": {format_subset(m): format_rational(-c) for m, c in ineq.coeffs.items() if c < 0},
-        },
-        indent=2,
-    )
 
 
 def certificate_to_obj(cert: FarkasCertificate) -> list[dict]:

@@ -50,7 +50,6 @@ from .core import (
     exp_fraction,
     format_subset,
     log_fraction,
-    subset_key,
     subsets_of,
 )
 
@@ -116,16 +115,15 @@ def solve_box_system(ground: int, y: Mapping[int, Fraction]) -> BoxSystem:
     exp_fraction of its log side, so z_ground equals y_ground, and every
     other z_A stays below y_A, up to a factor 1 +- _SLACK.
     """
-    members = sorted(subsets_of(ground), key=subset_key)
-    for a in members:
+    for a in subsets_of(ground):
         if a not in y:
             raise ValueError(f"missing target for subset {{{format_subset(a)}}}")
-    found = cone.core_point(ground, {a: log_fraction(Fraction(y[a])) for a in members})
+    found = cone.core_point(ground, {a: log_fraction(y[a]) for a in subsets_of(ground)})
     if found is None:
         raise BoxSystemInfeasible(ground)
     sides = {e: exp_fraction(s) for e, s in found[1].items()}
-    z = {a: prod(sides[e] for e in elements(a)) for a in members}
-    _check_solution(ground, dict(y), z)
+    z = {a: prod(sides[e] for e in elements(a)) for a in subsets_of(ground)}
+    _check_solution(ground, y, z)
     return BoxSystem(ground, z, sides)
 
 

@@ -10,7 +10,6 @@ convex combinations of constructible vectors.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -19,7 +18,6 @@ from .core import (
     FormatError,
     ProjectionVector,
     check_dimension,
-    format_subset,
     load_object,
     parse_subset,
 )
@@ -137,9 +135,3 @@ def read_family(text: str) -> SetFamily:
         raise FormatError("duplicate family member")
     return SetFamily.from_members(data["n"], members)
 
-
-def write_family(family: SetFamily) -> str:
-    return json.dumps(
-        {"n": family.n, "members": [format_subset(m) for m in family.members]},
-        indent=2,
-    )

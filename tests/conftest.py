@@ -5,6 +5,7 @@ The oracles here deliberately reimplement results by different means
 instead of pruned search) so agreement is meaningful.
 """
 
+import json
 import os
 from fractions import Fraction
 from itertools import combinations, product
@@ -13,7 +14,7 @@ import numpy as np
 from hypothesis import settings
 
 from covercone.boxgeom import BoxUnionBody
-from covercone.core import ProjectionVector, elements
+from covercone.core import ProjectionVector, elements, format_rational, format_subset
 
 # CI runs (GitHub Actions sets CI) draw the same examples every time and keep
 # no example database, so a property test cannot pass on one run and fail on
@@ -132,6 +133,50 @@ def axiswise_disjoint(body: BoxUnionBody) -> bool:
             if hi >= lo:
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# exact linear algebra
+
+def row_reduce(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """The nonzero rows of the reduced row echelon form of rows, in exact
+    Fractions, and their pivot columns; the rank is the number of pivots."""
+    m = [[Fraction(c) for c in row] for row in rows]
+    pivots = []
+    for col in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        p = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if p is None:
+            continue
+        row = m.pop(p)
+        m.insert(r, [c / row[col] for c in row])
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                m[i] = [a - m[i][col] * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+    return m[:len(pivots)], pivots
+
+
+# ---------------------------------------------------------------------------
+# writers for the input-only formats: no command writes an inequality or a
+# family file, so the tests that read one back write it here
+
+def inequality_json(ineq) -> str:
+    """The inequality file of a LinearInequality: lhs its positive
+    coefficients, rhs its negative ones negated."""
+    return json.dumps(
+        {
+            "n": ineq.n,
+            "lhs": {format_subset(m): format_rational(c) for m, c in ineq.coeffs.items() if c > 0},
+            "rhs": {format_subset(m): format_rational(-c) for m, c in ineq.coeffs.items() if c < 0},
+        },
+        indent=2,
+    )
+
+
+def family_json(family) -> str:
+    """The family file of a SetFamily, members in its order."""
+    return json.dumps({"n": family.n, "members": [format_subset(m) for m in family.members]}, indent=2)
 
 
 # ---------------------------------------------------------------------------

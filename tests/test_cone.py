@@ -1,10 +1,11 @@
 import hashlib
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from conftest import random_body, sample_bt3_vector, shift, thicken
+from conftest import random_body, row_reduce, sample_bt3_vector, shift, thicken
 from covercone import realize
 from covercone.boxgeom import projection_volume
 from covercone.cone import ConeSystem, build_bt_system, coefficients, core_point, format_inequality, margin, membership
@@ -76,6 +77,34 @@ class TestBuildSystem:
     def test_h_representation(self):
         lines = build_bt_system(2).h_representation().splitlines()
         assert lines == ["1*1 + 1*2 >= 1*1,2"]
+
+    def test_n3_extreme_rays(self):
+        """With the singletons 0, in coordinates (x_12, x_13, x_23, x_123), the
+        8 generators of the n = 3 cone have exactly 7 extreme rays in 3 S_3
+        orbits: x_123 = -1, the three x_ij = x_123 = -1 and the three
+        x_ij = x_ik = x_123 = -1.  A ray is a nonzero point of the cone
+        whose tight generators have rank 3, so it spans the kernel of some
+        3 generators of rank 3."""
+        coords = (0b011, 0b101, 0b110, 0b111)
+        rows = [[coefficients(g).get(a, 0) for a in coords] for g in build_bt_system(3).generators]
+        rays = set()
+        for triple in combinations(rows, 3):
+            reduced, pivots = row_reduce(triple)
+            if len(pivots) < 3:
+                continue
+            free = next(c for c in range(4) if c not in pivots)
+            kernel = [Fraction(c == free) for c in range(4)]
+            for pivot_row, p in zip(reduced, pivots):
+                kernel[p] = -pivot_row[free]
+            for x in (kernel, [-c for c in kernel]):
+                if all(sum(r * c for r, c in zip(row, x)) >= 0 for row in rows):
+                    top = max(abs(c) for c in x)
+                    rays.add(tuple(c / top for c in x))
+        assert rays == {
+            (0, 0, 0, -1),
+            (-1, 0, 0, -1), (0, -1, 0, -1), (0, 0, -1, -1),
+            (-1, -1, 0, -1), (-1, 0, -1, -1), (0, -1, -1, -1),
+        }
 
 
 class TestMembership:

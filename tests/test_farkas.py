@@ -10,7 +10,7 @@ from math import ceil, floor, prod
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import axiswise_disjoint, random_body, thicken
+from conftest import axiswise_disjoint, inequality_json, random_body, thicken
 from covercone.boxgeom import projection_volume, write_body
 from covercone.cone import build_bt_system, coefficients, format_inequality, membership
 from covercone.core import FormatError, ProjectionVector, canonical_subset_order, elements
@@ -22,7 +22,6 @@ from covercone.farkas import (
     check_implication,
     read_inequality,
     violating_body,
-    write_inequality,
 )
 
 GUESS = LinearInequality.from_maps(
@@ -302,7 +301,7 @@ class TestInequalityFiles:
         assert read_inequality(text) == GUESS
 
     def test_round_trip(self):
-        assert read_inequality(write_inequality(GUESS)) == GUESS
+        assert read_inequality(inequality_json(GUESS)) == GUESS
 
     def test_rejects_negative_coefficient(self):
         with pytest.raises(FormatError):

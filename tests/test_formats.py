@@ -1,9 +1,11 @@
 """Every artifact reader either returns a value or raises FormatError.
 
 The five readers (vector, inequality, body, family, cover) share one
-envelope in covercone.core.  Written files must read back equal; any other
-JSON text, including a valid file with one value swapped for arbitrary
-JSON, must parse or raise FormatError and nothing else.
+envelope in covercone.core.  Written files must read back equal: vectors and
+bodies from the package's writers, and the input-only inequality, family and
+cover files from the tests' own serializers.  Any other JSON text, including
+a valid file with one value swapped for arbitrary JSON, must parse or raise
+FormatError and nothing else.
 """
 
 import json
@@ -11,11 +13,12 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import family_json, inequality_json
 from covercone.boxgeom import BoxUnionBody, read_body, write_body
 from covercone.core import FormatError, ProjectionVector, read_vector, write_vector
 from covercone.covers import UniformCover, cover_from_json, cover_to_obj
-from covercone.farkas import LinearInequality, read_inequality, write_inequality
-from covercone.witness import SetFamily, read_family, write_family
+from covercone.farkas import LinearInequality, read_inequality
+from covercone.witness import SetFamily, read_family
 
 dims = st.integers(1, 4)
 rationals = st.fractions(max_denominator=10**6)
@@ -74,9 +77,9 @@ def covers(draw):
 
 FORMATS = {
     "vector": (vectors(), write_vector, read_vector),
-    "inequality": (inequalities(), write_inequality, read_inequality),
+    "inequality": (inequalities(), inequality_json, read_inequality),
     "body": (bodies(), write_body, read_body),
-    "family": (families(), write_family, read_family),
+    "family": (families(), family_json, read_family),
     "cover": (covers(), lambda c: json.dumps(cover_to_obj(c)), cover_from_json),
 }
 READERS = {name: reader for name, (_, _, reader) in FORMATS.items()}
@@ -138,7 +141,7 @@ def test_inequality_coeffs_are_netted(sides):
     ineq = LinearInequality.from_maps(n, lhs, rhs)
     net = ((m, lhs.get(m, 0) - rhs.get(m, 0)) for m in sorted(lhs.keys() | rhs.keys()))
     assert list(ineq.coeffs.items()) == [(m, c) for m, c in net if c != 0]
-    again = read_inequality(write_inequality(ineq))
+    again = read_inequality(inequality_json(ineq))
     assert list(again.coeffs.items()) == list(ineq.coeffs.items())
 
 

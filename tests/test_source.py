@@ -1,9 +1,12 @@
 """Static checks on the package source, parsed with the stdlib ast module.
 
-No linter is a test dependency, so these stand in for the three rules the
-package keeps: every imported name is used, each public name has one
-import path, its defining module (the package itself re-exports nothing),
-and every record is a plain typing.NamedTuple.
+No linter is a test dependency, so these stand in for the rules the package
+keeps: every imported name is used; every function, class and method is
+used by the package itself or traced by bench/tracer.py, so code that only
+tests call stays out of src/; each public name has one import path, its
+defining module (the package itself re-exports nothing); and every record
+is a plain typing.NamedTuple.  Tests and bench scripts import nothing that
+`pip install -e ".[test]"` does not provide.
 The last tests run the CLI in fresh interpreters: its import registers every
 module that bench/tracer.py traces and loads no dataclasses, each command runs
 only the modules it calls, a well-formed command line loads no argparse, and
@@ -13,6 +16,7 @@ the tracer still sees every layer.
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -44,6 +48,44 @@ def test_every_imported_name_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def _traced() -> dict[str, tuple[str, ...]]:
+    """bench/tracer.py's TRACED: module -> the names it wraps."""
+    tree = _tree(ROOT / "bench" / "tracer.py")
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TRACED"])
+
+
+def test_every_public_name_is_used_by_the_package():
+    """Every top-level function and class, and every method but a dunder, is
+    named (as an ast.Name or ast.Attribute) somewhere in the package outside
+    its own definition, or is traced by bench/tracer.py: code that only tests
+    call does not live in src/.  Names are matched as plain identifiers, so a
+    definition whose name other code uses for something else goes unseen."""
+    trees = {path.stem: _tree(path) for path in MODULES}
+
+    def references(node) -> Counter:
+        return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                       if isinstance(n, (ast.Name, ast.Attribute)))
+
+    everywhere = sum((references(tree) for tree in trees.values()), Counter())
+    traced = {f"{module}.{name}" for module, names in _traced().items() for name in names}
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            defined = [(node.name, node)]
+            if isinstance(node, ast.ClassDef):
+                defined += [(f"{node.name}.{item.name}", item) for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and not (item.name.startswith("__") and item.name.endswith("__"))]
+            for qualname, definition in defined:
+                name = definition.name
+                if everywhere[name] == references(definition)[name] and f"{module}.{qualname}" not in traced:
+                    unused.append(f"{module}.{qualname}")
+    assert not unused, f"names no package code uses: {', '.join(unused)}"
 
 
 def test_package_holds_only_its_docstring():
@@ -85,6 +127,28 @@ def test_records_are_plain_named_tuples():
     assert not bad, f"records outside the one idiom: {', '.join(bad)}"
 
 
+def test_tests_and_bench_import_only_what_the_test_extra_installs():
+    """CI installs `.[test]` and nothing more, so every module that tests/*.py
+    and bench/*.py import is stdlib, covercone, a file of their own directory,
+    or a package named in pyproject's test extra."""
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    extra = next(line for line in pyproject.splitlines() if line.startswith("test = "))
+    installed = {re.match(r"[\w.-]+", req).group().replace("-", "_")
+                 for req in ast.literal_eval(extra.split("=", 1)[1].strip())}
+    bad = []
+    for path in [*(ROOT / "tests").glob("*.py"), *(ROOT / "bench").glob("*.py")]:
+        allowed = {*sys.stdlib_module_names, "covercone", *installed, *(p.stem for p in path.parent.glob("*.py"))}
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            bad += [f"{path.parent.name}/{path.name}: {m}" for m in modules if m.split(".")[0] not in allowed]
+    assert not bad, f"imports that `pip install -e .[test]` does not provide: {', '.join(bad)}"
+
+
 def _run(argv, cwd=None, **kwargs):
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env,
@@ -96,15 +160,12 @@ def test_cli_import_loads_every_traced_module_and_no_dataclasses():
     bench/tracer.py's Tracer.install reads from sys.modules.  Once all of
     them have run (vars() runs a lazily loaded one), `dataclasses` and
     `inspect`, whose import is a fifth of a small query, are still absent."""
-    tree = _tree(ROOT / "bench" / "tracer.py")
-    traced = next(ast.literal_eval(node.value) for node in tree.body
-                  if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TRACED"])
     code = ("import sys, covercone.cli\n"
             "for name in [n for n in sys.modules if n.startswith('covercone.')]: vars(sys.modules[name])\n"
             "print(*sys.modules)")
     loaded = set(_run(["-c", code], check=True).stdout.split())
     assert not {"dataclasses", "inspect"} & loaded
-    assert {f"covercone.{module}" for module in traced} <= loaded
+    assert {f"covercone.{module}" for module in _traced()} <= loaded
 
 
 def test_lazy_modules_are_reached_only_through_the_module():

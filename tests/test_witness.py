@@ -4,7 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from covercone.cone import build_bt_system, membership
+from conftest import family_json, row_reduce
+from covercone.cone import build_bt_system, coefficients, membership
 from covercone.core import FormatError, ProjectionVector, canonical_subset_order
 from covercone.covers import UniformCover
 from covercone.witness import (
@@ -13,7 +14,6 @@ from covercone.witness import (
     read_family,
     shearer_check,
     theorem9_vector,
-    write_family,
 )
 
 TRIANGLE_123 = UniformCover.from_parts(0b0111, [0b0011, 0b0101, 0b0110])
@@ -49,6 +49,51 @@ class TestTheorem9Vector:
     def test_rejects_small_dimension(self):
         with pytest.raises(ValueError):
             theorem9_vector(3)
+
+
+#: an extreme ray of the n = 4 cone whose S_4 orbit sums to theorem 9: singletons 0
+RAY = ProjectionVector.from_entries(4, {
+    **{mask_of(*s): F(-1) for s in ((1, 2), (1, 4), (2, 3), (3, 4), (1, 2, 3), (1, 3, 4), (2, 3, 4))},
+    mask_of(1, 2, 4): F(-2), mask_of(1, 2, 3, 4): F(-2),
+})
+
+
+def swap_1423(v: ProjectionVector) -> ProjectionVector:
+    """v relabeled by sigma = (1 4)(2 3), which reverses the 4 bits of a mask."""
+    return ProjectionVector.from_entries(4, {sum(1 << (3 - e) for e in range(4) if m >> e & 1): x
+                                             for m, x in v.entries.items()})
+
+
+def tight_count_and_rank(v: ProjectionVector) -> tuple[int, int]:
+    """How many generators of the n = 4 cone v makes tight, and their rank."""
+    report = membership(build_bt_system(4), v)
+    assert report.inside
+    order = canonical_subset_order(4)
+    _, pivots = row_reduce([[coefficients(g).get(a, 0) for a in order] for g in report.tight])
+    return len(report.tight), len(pivots)
+
+
+class TestTheorem9Rays:
+    """Modulo its modular part x_A = |A|, the theorem 9 vector is RAY + sigma
+    RAY for sigma = (1 4)(2 3), two extreme rays of the n = 4 cone (rank 10
+    of the 11 dimensions left past the 4-dimensional modular lineality space),
+    and it spans their 2-dimensional face (rank 9)."""
+
+    def test_both_rays_are_extreme(self):
+        assert tight_count_and_rank(RAY) == tight_count_and_rank(swap_1423(RAY)) == (18, 10)
+
+    def test_sigma_fixes_the_vector_and_moves_the_ray(self):
+        v = theorem9_vector(4)
+        assert swap_1423(v) == v
+        assert swap_1423(RAY) != RAY
+
+    def test_vector_is_the_ray_sum_plus_modular(self):
+        v, image = theorem9_vector(4), swap_1423(RAY)
+        for a in canonical_subset_order(4):
+            assert v[a] == RAY[a] + image[a] + a.bit_count(), a
+
+    def test_vector_spans_the_two_ray_face(self):
+        assert tight_count_and_rank(theorem9_vector(4)) == (11, 9)
 
 
 class TestAnalyzeWitness:
@@ -155,9 +200,9 @@ class TestShearer:
 class TestFamilyFiles:
     def test_round_trip_with_empty_member(self):
         family = SetFamily.from_members(4, [0, 0b0001, 0b1010])
-        data = json.loads(write_family(family))
+        data = json.loads(family_json(family))
         assert data == {"n": 4, "members": ["", "1", "2,4"]}
-        assert read_family(write_family(family)) == family
+        assert read_family(family_json(family)) == family
 
     def test_duplicate_member_rejected(self):
         with pytest.raises(FormatError):
